@@ -2,11 +2,13 @@
 
 Plain text: a magic first line, then one JSON record per entry, keyed by
 (partition, exponent, cap). A file whose header does not match the current
-format version is treated as empty and rewritten on save.
+format version is treated as empty and rewritten on save. Saving writes a
+temporary file next to the cache and renames it over the old one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -61,20 +63,28 @@ class PowerCache:
         return len(self._entries)
 
     def save(self) -> None:
+        """Rewrite the file atomically: a failed write leaves the old one intact."""
         if not self._dirty and self.valid_header and os.path.exists(self.path):
             return
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(MAGIC + "\n")
-            for (parts, n, cap) in sorted(
-                self._entries, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])
-            ):
-                terms = self._entries[(parts, n, cap)]
-                rec = {
-                    "partition": list(parts),
-                    "n": n,
-                    "cap": cap,
-                    "terms": [[list(t), str(m)] for t, m in sorted(terms.items(), reverse=True)],
-                }
-                fh.write(json.dumps(rec) + "\n")
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(MAGIC + "\n")
+                for (parts, n, cap) in sorted(
+                    self._entries, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])
+                ):
+                    terms = self._entries[(parts, n, cap)]
+                    rec = {
+                        "partition": list(parts),
+                        "n": n,
+                        "cap": cap,
+                        "terms": [[list(t), str(m)] for t, m in sorted(terms.items(), reverse=True)],
+                    }
+                    fh.write(json.dumps(rec) + "\n")
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
         self._dirty = False
         self.valid_header = True

@@ -2,15 +2,25 @@
 
 Two independent algorithms are kept side by side on purpose:
 
-* the fast path multiplies by one column at a time (vertical-strip step) and
-  removes the lower-order cross terms through the unitriangular system that
-  relates a partition to the product of its columns;
+* the fast path writes one factor in its signed column expansion
+  s_b = sum_mu E(b)[mu] * e_mu1 * e_mu2 * ... (inverse Kostka / dual
+  Jacobi-Trudi, Macdonald I.3), solved once per shape from the unitriangular
+  system relating a partition to the product of its columns, and then
+  multiplies by one column at a time (vertical-strip step), sharing the
+  steps of column tuples with a common prefix;
 * the oracle counts column-strict skew fillings whose reverse reading word is
   a lattice word, one coefficient at a time.
 
 The test suite demands that both agree. Memo tables are filled with
 immutable values only, so concurrent readers are safe; a racing insert just
 recomputes the same value.
+
+Every expansion, product and power memo value is a pair (result, peak),
+where peak is the largest term count any step of its computation reached,
+sub-computations included. A hit whose peak exceeds the caller's budget
+raises BudgetExceeded as the cold computation would have, so the outcome of
+a call does not depend on what ran before it. A power read from an on-disk
+cache is the exception: its file record has no peak, so its size stands in.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ DEFAULT_TERM_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LRLAB_BUDGET"
 
 _pieri_memo: dict = {}
+_exp_memo: dict = {}
 _mul_memo: dict = {}
 _power_memo: dict = {}
 
@@ -41,8 +52,20 @@ def term_budget(explicit: int | None = None) -> int:
 
 def clear_caches() -> None:
     _pieri_memo.clear()
+    _exp_memo.clear()
     _mul_memo.clear()
     _power_memo.clear()
+
+
+def _check_budget(terms: int, budget: int) -> None:
+    if terms > budget:
+        raise BudgetExceeded(f"{terms} terms exceed budget {budget}")
+
+
+def _check_nonnegative(terms: dict[tuple[int, ...], int], what: str) -> None:
+    for m in terms.values():
+        if m < 0:
+            raise InternalCheckError(f"negative multiplicity in {what}")
 
 
 def _pieri(parts: tuple[int, ...], r: int, cap: int | None) -> tuple[tuple[int, ...], ...]:
@@ -72,68 +95,100 @@ def _pieri(parts: tuple[int, ...], r: int, cap: int | None) -> tuple[tuple[int, 
     return out
 
 
-def _column_chain(
+def _apply(
     start: dict[tuple[int, ...], int],
-    cols: tuple[int, ...],
+    expansion: dict[tuple[int, ...], int],
     cap: int | None,
     budget: int,
-) -> dict[tuple[int, ...], int]:
-    acc = start
-    for r in cols:
-        nxt: dict[tuple[int, ...], int] = {}
-        for t, m in acc.items():
-            for u in _pieri(t, r, cap):
-                nxt[u] = nxt.get(u, 0) + m
-        if len(nxt) > budget:
-            raise BudgetExceeded(f"{len(nxt)} terms exceed budget {budget}")
-        acc = nxt
-    return acc if acc is not start else dict(acc)
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """sum_mu expansion[mu] * start * e_mu1 * e_mu2 * ..., and its peak term count.
+
+    The column tuples mu are walked in sorted order, keeping the chain of
+    partial products of the previous one, so tuples with a common prefix
+    share its vertical-strip steps.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    peak = 0
+    chain = [start]  # chain[i]: start times the first i columns of prev
+    prev: tuple[int, ...] = ()
+    for mu in sorted(expansion):
+        k = 0
+        while k < len(prev) and k < len(mu) and prev[k] == mu[k]:
+            k += 1
+        del chain[k + 1 :]
+        for r in mu[k:]:
+            nxt: dict[tuple[int, ...], int] = {}
+            get = nxt.get
+            for t, m in chain[-1].items():
+                for u in _pieri(t, r, cap):
+                    nxt[u] = get(u, 0) + m
+            _check_budget(len(nxt), budget)
+            peak = max(peak, len(nxt))
+            chain.append(nxt)
+        prev = mu
+        coef = expansion[mu]
+        get = out.get
+        for t, m in chain[-1].items():
+            out[t] = get(t, 0) + coef * m
+    out = {t: m for t, m in out.items() if m}
+    _check_budget(len(out), budget)
+    return out, max(peak, len(out))
+
+
+def _expansion(
+    b: tuple[int, ...], cap: int | None, budget: int
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Signed column expansion E(b) of s_b under the cap, and its peak term count.
+
+    E(b) = {cols(b): 1} - sum_{c != b} cross[c] * E(c), where cross is the
+    column product e_cols(b) = sum_c cross[c] * s_c. The system is
+    unitriangular in dominance order. Taking cross under the cap is valid
+    because truncation is a ring homomorphism.
+    """
+    if cap is not None:
+        if len(b) > cap:
+            return {}, 0
+        if cap >= sum(b):
+            cap = None  # no partition of |b| is cut: share the uncapped entry
+    key = (b, cap)
+    hit = _exp_memo.get(key)
+    if hit is None:
+        # column heights of b, tallest first
+        cols = tuple(sum(1 for p in b if p > j) for j in range(b[0] if b else 0))
+        cross, peak = _apply({(): 1}, {cols: 1}, cap, budget)
+        if cross.get(b) != 1:
+            raise InternalCheckError(f"column product of {b} is not unitriangular")
+        acc = {cols: 1}
+        for c, k in cross.items():
+            if c != b:
+                sub, sub_peak = _expansion(c, cap, budget)
+                peak = max(peak, sub_peak)
+                for mu, e in sub.items():
+                    acc[mu] = acc.get(mu, 0) - k * e
+        hit = _exp_memo[key] = ({mu: e for mu, e in acc.items() if e}, peak)
+    _check_budget(hit[1], budget)
+    return hit
 
 
 def _mul_parts(
     a: tuple[int, ...], b: tuple[int, ...], cap: int | None, budget: int
 ) -> dict[tuple[int, ...], int]:
-    if cap is not None and (len(a) > cap or len(b) > cap):
-        return {}
-    if not b:
-        return {a: 1}
-    if not a:
-        return {b: 1}
     key = (a, b, cap)
     hit = _mul_memo.get(key)
-    if hit is not None:
-        return hit
-    # column heights of b, tallest first
-    cols = []
-    for j in range(b[0]):
-        cols.append(sum(1 for p in b if p > j))
-    cols_t = tuple(cols)
-    out = _column_chain({a: 1}, cols_t, cap, budget)
-    if len(cols_t) > 1:
-        cross = _column_chain({(): 1}, cols_t, cap, budget)
-        if cross.get(b, 0) != 1:
-            raise InternalCheckError(f"column product of {b} is not unitriangular")
-        # strip the lower-order terms the column product introduced; descending
-        # lexicographic order refines dominance, so this elimination is stable
-        for c in sorted(cross, reverse=True):
-            if c == b:
-                continue
-            coef = cross[c]
-            for t, m in _mul_parts(a, c, cap, budget).items():
-                nm = out.get(t, 0) - coef * m
-                if nm:
-                    out[t] = nm
-                else:
-                    out.pop(t, None)
-    for m in out.values():
-        if m < 0:
-            raise InternalCheckError(f"negative multiplicity in {a} x {b}")
-    _mul_memo[key] = out
-    return out
+    if hit is None:
+        exp_a, peak_a = _expansion(a, cap, budget)
+        exp_b, peak_b = _expansion(b, cap, budget)
+        # the product commutes: expand the factor with the shorter expansion
+        base, exp = (b, exp_a) if len(exp_a) < len(exp_b) else (a, exp_b)
+        out, peak = _apply({base: 1}, exp, cap, budget)
+        _check_nonnegative(out, f"{a} x {b}")
+        hit = _mul_memo[key] = (out, max(peak, peak_a, peak_b))
+    _check_budget(hit[1], budget)
+    return hit[0]
 
 
 def mul(a: Partition, b: Partition, cap: int | None = None, budget: int | None = None) -> LRElement:
-    """Product of two basis partitions (column recursion with corrections)."""
+    """Product of two basis partitions (signed column expansion)."""
     return LRElement._from_raw(
         _mul_parts(a.parts, b.parts, cap, term_budget(budget)), cap
     )
@@ -149,13 +204,9 @@ def mul_by_column(a: Partition, r: int, cap: int | None = None) -> LRElement:
 def mul_element(m: LRElement, b: Partition, budget: int | None = None) -> LRElement:
     """Linear extension of mul to an element times a basis partition."""
     bud = term_budget(budget)
-    acc: dict[tuple[int, ...], int] = {}
-    for p, c in m.items():
-        for t, k in _mul_parts(p.parts, b.parts, m.cap, bud).items():
-            acc[t] = acc.get(t, 0) + c * k
-    if len(acc) > bud:
-        raise BudgetExceeded(f"{len(acc)} terms exceed budget {bud}")
-    return LRElement._from_raw(acc, m.cap)
+    exp, _ = _expansion(b.parts, m.cap, bud)
+    out, _ = _apply({p.parts: c for p, c in m.items()}, exp, m.cap, bud)
+    return LRElement._from_raw(out, m.cap)
 
 
 def tensor_power(
@@ -169,42 +220,41 @@ def tensor_power(
 
     Intermediate powers are memoized per (partition, k, cap); an optional
     on-disk cache object (see powercache) is consulted first and updated with
-    every power computed along the way.
+    every power computed along the way. Each step applies the expansion of
+    the partition to the whole previous power at once.
     """
     if n < 0:
         raise ValueError("negative exponent")
     bud = term_budget(budget)
     parts = a.parts
-    cur = None
+    hit = None
     k0 = 0
     for k in range(n, -1, -1):
-        got = _power_memo.get((parts, k, cap))
-        if got is None and cache is not None:
+        hit = _power_memo.get((parts, k, cap))
+        if hit is None and cache is not None:
             got = cache.get(parts, k, cap)
             if got is not None:
-                _power_memo[(parts, k, cap)] = got
-        if got is not None:
-            k0, cur = k, got
+                hit = _power_memo[(parts, k, cap)] = (got, len(got))
+        if hit is not None:
+            k0 = k
             break
-    if cur is None:
-        cur = {(): 1}
-        _power_memo[(parts, 0, cap)] = cur
+    if hit is None:
+        hit = _power_memo[(parts, 0, cap)] = ({(): 1}, 1)
+    cur, peak = hit
+    _check_budget(peak, bud)
+    if k0 < n:
+        exp, exp_peak = _expansion(parts, cap, bud)
+        peak = max(peak, exp_peak)
     for k in range(k0 + 1, n + 1):
-        nxt: dict[tuple[int, ...], int] = {}
-        for t, m in cur.items():
-            for u, c in _mul_parts(t, parts, cap, bud).items():
-                nxt[u] = nxt.get(u, 0) + m * c
-        if len(nxt) > bud:
-            raise BudgetExceeded(
-                f"power {a}^{k} has {len(nxt)} terms, budget {bud}"
-            )
-        _power_memo[(parts, k, cap)] = nxt
-        cur = nxt
+        cur, step_peak = _apply(cur, exp, cap, bud)
+        _check_nonnegative(cur, f"{a}^{k}")
+        peak = max(peak, step_peak)
+        _power_memo[(parts, k, cap)] = (cur, peak)
     if cache is not None:
         for k in range(n + 1):
             hit = _power_memo.get((parts, k, cap))
             if hit is not None:
-                cache.put(parts, k, cap, hit)
+                cache.put(parts, k, cap, hit[0])
     return LRElement._from_raw(cur, cap)
 
 

@@ -250,6 +250,31 @@ class TestCache:
         assert path.read_text().startswith(MAGIC + "\n")
         assert PowerCache(str(path)).valid_header
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "powers.lrpow"
+        cache = PowerCache(str(path))
+        cache.put((2,), 1, None, {(2,): 1})
+        cache.save()
+        before = path.read_bytes()
+        cache.put((2,), 2, None, {(4,): 1, (3, 1): 1, (2, 2): 1})
+        cache.put((2,), 3, None, {(6,): 1})
+        records = []
+        real_dumps = json.dumps
+
+        def dumps_then_fail(rec):
+            # the first record reaches the temporary file, the second write fails
+            if records:
+                raise OSError("disk full")
+            records.append(rec)
+            return real_dumps(rec)
+
+        monkeypatch.setattr("lrlab.powercache.json.dumps", dumps_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save()
+        assert len(records) == 1
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["powers.lrpow"]
+
 
 class TestDeterminism:
     def test_verify_bytes_stable_across_threads(self):

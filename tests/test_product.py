@@ -3,13 +3,15 @@
 The brute-force fillers in this file are deliberately independent of the
 library code paths: dimensions are counted as explicit semistandard
 fillings, standard-tableau counts come from the hook length formula, and the
-two product algorithms (column recursion and skew-filling count) must agree
-term by term.
+two product algorithms (signed column expansion and skew-filling count) must
+agree term by term.
 """
 
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab import (
     LRElement,
@@ -288,6 +290,77 @@ class TestPower:
             tensor_power(P(2, 1, 1), 4)
         monkeypatch.delenv("LRLAB_BUDGET")
         clear_caches()
+
+
+HOOK_TIMES_BOX = mul(P(2, 1), P(1))
+BUDGETED_CALLS = {
+    "mul": lambda budget: mul(P(2, 1), P(2, 1), budget=budget),
+    "mul_capped": lambda budget: mul(P(3, 1), P(2, 2), cap=3, budget=budget),
+    "mul_element": lambda budget: mul_element(HOOK_TIMES_BOX, P(2, 1), budget=budget),
+    "power": lambda budget: tensor_power(P(2, 1), 4, budget=budget),
+    "power_capped": lambda budget: tensor_power(P(2, 1), 5, cap=3, budget=budget),
+}
+
+
+def _outcome(call, budget):
+    try:
+        return call(budget)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+class TestBudgetIgnoresMemoState:
+    @pytest.mark.parametrize("budget", [1, 3, 5, 8, 13, 21, 34, 89])
+    @pytest.mark.parametrize("name", sorted(BUDGETED_CALLS))
+    def test_cold_and_warm_agree(self, name, budget):
+        call = BUDGETED_CALLS[name]
+        clear_caches()
+        cold = _outcome(call, budget)
+        clear_caches()
+        call(None)
+        tensor_power(P(2, 1), 6)
+        tensor_power(P(2, 1), 6, cap=3)
+        warm = _outcome(call, budget)
+        clear_caches()
+        assert cold == warm
+
+    def test_both_outcomes_occur(self):
+        # the budgets above straddle every call's peak term count
+        for call in BUDGETED_CALLS.values():
+            clear_caches()
+            assert _outcome(call, 1) is BudgetExceeded
+            clear_caches()
+            assert _outcome(call, 89) is not BudgetExceeded
+        clear_caches()
+
+
+POOL_7 = list(partitions_up_to(7))
+CAPS = st.sampled_from([None, 1, 2, 3, 4])
+fixed_profile = settings(derandomize=True, deadline=None)
+
+
+class TestDifferential:
+    """The fast path against independent computations, past the acceptance bounds."""
+
+    @fixed_profile
+    @given(st.sampled_from(POOL_7), st.sampled_from(POOL_7), CAPS)
+    def test_mul_matches_tableau_oracle(self, a, b, cap):
+        assert mul(a, b, cap=cap) == mul_tableau(a, b, cap=cap)
+
+    @fixed_profile
+    @given(st.sampled_from(list(partitions_up_to(4))), st.integers(0, 4), CAPS)
+    def test_power_is_repeated_mul_element(self, a, n, cap):
+        step = LRElement.unit(cap=cap)
+        for _ in range(n):
+            step = mul_element(step, a)
+        assert tensor_power(a, n, cap=cap) == step
+
+    @fixed_profile
+    @given(st.sampled_from(list(partitions_up_to(5))), st.integers(0, 6), st.integers(1, 4))
+    def test_capped_power_dimension_identity(self, a, n, d):
+        power = tensor_power(a, n, cap=d)
+        total = sum(m * gl_dimension(c, d) for c, m in power.items())
+        assert total == gl_dimension(a, d) ** n
 
 
 class TestDimensionIdentity:
