@@ -4,14 +4,7 @@ cone generators, and bounded verification suites for the identities that
 relate them.
 """
 
-from .elements import (
-    LRElement,
-    bullet_prepend,
-    element_add,
-    leq_elementwise,
-    shift_add,
-    truncate_to_length,
-)
+from .elements import LRElement
 from .errors import (
     BudgetExceeded,
     CapMismatch,
@@ -34,7 +27,6 @@ from .partitions import (
     Dominance,
     Partition,
     SignedVector,
-    add_pointwise,
     column_decomposition,
     diagram_difference,
     diagram_distance,
@@ -43,7 +35,6 @@ from .partitions import (
     dominates,
     interpolating_sequence,
     lcm_upto,
-    make_partition,
     partitions_of,
     partitions_up_to,
     single_column,

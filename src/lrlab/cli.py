@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library operations and emit either plain
 text or the JSON schemas of the library types. Output is byte-deterministic
 for a fixed build and input; exit codes: 0 success or PASS, 1 a verification
-failed or a claimed witness does not exist, 2 usage error, 3 term budget
-exceeded.
+failed or a claimed witness does not exist, 2 usage error or unusable cache
+path, 3 term budget exceeded.
 """
 
 from __future__ import annotations
@@ -52,6 +52,17 @@ def parse_partition(text: str) -> Partition:
         return Partition(int(p) for p in inner.split(",")) if inner else Partition()
     except InvalidPartition as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _non_negative(text: str) -> int:
+    """argparse type of lengths, ranks and suite bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _emit(line: str = "") -> None:
@@ -179,9 +190,9 @@ def _report_lines(rep: VerificationReport) -> list[str]:
 def _cmd_verify(args) -> int:
     bounds = _bounds_from_args(args)
     if args.all:
-        reports = verify_all(bounds or None, threads=args.threads)
+        reports = verify_all(bounds or None)
     elif args.lemma:
-        reports = [verify_lemma(args.lemma, bounds or None, threads=args.threads)]
+        reports = [verify_lemma(args.lemma, bounds or None)]
     else:
         raise UsageError("verify needs --lemma ID or --all")
     if args.json:
@@ -257,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads (output does not depend on it)"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; changes neither the output nor the work done",
     )
 
     parser = argparse.ArgumentParser(
@@ -268,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mul", parents=[common], help="product of two partitions")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--l", type=int, default=None, help="length cap (quotient ring)")
+    p.add_argument("--l", type=_non_negative, default=None, help="length cap (quotient ring)")
     p.set_defaults(func=_cmd_mul)
 
     p = sub.add_parser("power", parents=[common], help="tensor power of a partition")
     p.add_argument("a")
     p.add_argument("n", type=int)
-    p.add_argument("--l", type=int, default=None, help="length cap (quotient ring)")
+    p.add_argument("--l", type=_non_negative, default=None, help="length cap (quotient ring)")
     p.add_argument("--cache", default=None, help="path of an on-disk power cache")
     p.set_defaults(func=_cmd_power)
 
@@ -290,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gj", parents=[common], help="block-constant cone generators")
     p.add_argument("a")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_non_negative, required=True)
     p.add_argument("--mask", type=int, default=None, help="breakpoint bitmask of one subdivision")
     p.set_defaults(func=_cmd_gj)
 
     p = sub.add_parser("hj", parents=[common], help="cone generator with one cell moved")
     p.add_argument("a")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_non_negative, required=True)
     p.add_argument("--mask", type=int, required=True, help="breakpoint bitmask of the subdivision")
     p.add_argument("--beta", type=int, default=None, help="column whose height picks the source block")
     p.add_argument("--delta", type=int, default=None, help="column whose height picks the target block")
@@ -307,30 +321,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument("--lemma", choices=list(LEMMA_IDS), default=None)
     p.add_argument("--all", action="store_true", help="run every suite")
-    p.add_argument("--max-weight", dest="max_weight", type=int, default=None)
-    p.add_argument("--max-l", dest="max_l", type=int, default=None)
-    p.add_argument("--max-k", dest="max_k", type=int, default=None)
-    p.add_argument("--max-weight-p", dest="max_weight_p", type=int, default=None)
-    p.add_argument("--max-shift", dest="max_shift", type=int, default=None)
+    p.add_argument("--max-weight", dest="max_weight", type=_non_negative, default=None)
+    p.add_argument("--max-l", dest="max_l", type=_non_negative, default=None)
+    p.add_argument("--max-k", dest="max_k", type=_non_negative, default=None)
+    p.add_argument("--max-weight-p", dest="max_weight_p", type=_non_negative, default=None)
+    p.add_argument("--max-shift", dest="max_shift", type=_non_negative, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("nsearch", parents=[common], help="uniform exponent threshold over a window")
     p.add_argument("a")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_non_negative, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.set_defaults(func=_cmd_nsearch)
 
     p = sub.add_parser("cone", parents=[common], help="cone membership and generator decomposition")
     p.add_argument("b", help="candidate member")
     p.add_argument("a", help="partition whose multiples bound the cone")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_non_negative, required=True)
     p.add_argument("--member-only", action="store_true", help="skip the decomposition search")
     p.set_defaults(func=_cmd_cone)
 
     p = sub.add_parser("transfer", parents=[common], help="support containment witness between powers")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--d", type=int, required=True, help="length cap (rank)")
+    p.add_argument("--d", type=_non_negative, required=True, help="length cap (rank)")
     p.add_argument("--tmax", type=int, default=8)
     p.set_defaults(func=_cmd_transfer)
 
@@ -361,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         HypothesisFails,
         UnsupportedLength,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,29 @@ def cone_membership(b: Partition, a: Partition, l: int) -> ConeCertificate:
     return ConeCertificate(member=True, n=n)
 
 
+def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> list[int] | None:
+    """Exact row reduction of m, in place, over its first ncols columns.
+
+    Column c is pivoted on the first row, not already a pivot row, whose
+    entry there is non-zero; that row is scaled to 1 in column c and column
+    c is cleared from every other row. Returns the pivot row of each column,
+    or None when the columns are linearly dependent.
+    """
+    pivots: list[int] = []
+    for c in range(ncols):
+        piv = next((i for i in range(len(m)) if i not in pivots and m[i][c] != 0), None)
+        if piv is None:
+            return None
+        pv = m[piv][c]
+        m[piv] = [x / pv for x in m[piv]]
+        for i, row in enumerate(m):
+            if i != piv and row[c] != 0:
+                f = row[c]
+                m[i] = [x - f * y for x, y in zip(row, m[piv])]
+        pivots.append(piv)
+    return pivots
+
+
 def _solve_columns(
     cols: list[tuple[int, ...]], target: tuple[int, ...]
 ) -> list[Fraction] | None:
@@ -47,24 +70,12 @@ def _solve_columns(
     column sets; by the conic Caratheodory property, skipping dependent sets
     never loses a decomposable target.
     """
-    rows = len(target)
     s = len(cols)
-    m = [[Fraction(cols[j][i]) for j in range(s)] + [Fraction(target[i])] for i in range(rows)]
-    for c in range(s):
-        piv = next((i for i in range(c, rows) if m[i][c] != 0), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(rows):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    for i in range(s, rows):
-        if m[i][s] != 0:
-            return None
-    return [m[j][s] for j in range(s)]
+    m = [[Fraction(col[i]) for col in cols] + [Fraction(t)] for i, t in enumerate(target)]
+    pivots = _gauss_jordan(m, s)
+    if pivots is None or any(row[s] != 0 for i, row in enumerate(m) if i not in pivots):
+        return None
+    return [m[p][s] for p in pivots]
 
 
 def cone_generator_decomposition(b: Partition, a: Partition, l: int) -> ConeCertificate:
@@ -108,45 +119,6 @@ def _check_decomposition(
             acc[i] += q * g[i]
     if tuple(acc) != tuple(Fraction(t) for t in target):
         raise NoDecomposition(f"residual is not zero for {list(target)}")
-
-
-def _pivot_rows(cols: list[tuple[int, ...]], l: int) -> list[int] | None:
-    """Row indices making the column set square and nonsingular, else None."""
-    s = len(cols)
-    m = [[Fraction(cols[j][i]) for j in range(s)] for i in range(l)]
-    chosen: list[int] = []
-    used = [False] * l
-    for c in range(s):
-        piv = None
-        for i in range(l):
-            if not used[i] and m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        used[piv] = True
-        chosen.append(piv)
-        pv = m[piv][c]
-        for i in range(l):
-            if i != piv and m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[piv])]
-    return chosen
-
-
-def _invert(mat: list[list[int]]) -> list[list[Fraction]]:
-    s = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(s)] + [Fraction(int(i == j)) for j in range(s)] for i in range(s)]
-    for c in range(s):
-        piv = next(i for i in range(c, s) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(s):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[s:] for row in aug]
 
 
 def _hnf_diagonal(mat: list[list[int]]) -> list[int]:
@@ -195,12 +167,18 @@ def _fractional_points(cols: list[tuple[int, ...]], l: int) -> set[tuple[int, ..
     lattice, so walking coset representatives enumerates them all.
     """
     s = len(cols)
-    rows = _pivot_rows(cols, l)
+    # pivot rows of the columns give a square nonsingular row set
+    rows = _gauss_jordan([[Fraction(col[i]) for col in cols] for i in range(l)], s)
     if rows is None:
         return set()
     sq = [[cols[j][i] for j in range(s)] for i in rows]
     diag = _hnf_diagonal(sq)
-    inv = _invert(sq)
+    # reducing [sq | I] leaves row c of the inverse in the pivot row of column c
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(s)]
+        for i, row in enumerate(sq)
+    ]
+    inv = [aug[p][s:] for p in _gauss_jordan(aug, s)]
     out: set[tuple[int, ...]] = set()
     for t in product(*[range(d) for d in diag]):
         lam = []

@@ -124,24 +124,6 @@ class LRElement:
             ((p.plus(a), m) for p, m in self._terms.items()), cap=self._cap
         )
 
-    def bullet(self, a: int) -> "LRElement":
-        """Prepend a new first row of length a to every term, dropping the
-        terms for which that fails to be a partition."""
-        if a < 0:
-            raise ValueError("negative row length")
-        acc: dict[Partition, int] = {}
-        for p, m in self._terms.items():
-            if p and a < p.parts[0]:
-                continue
-            q = Partition((a,) + p.parts)
-            if self._cap is not None and len(q) > self._cap:
-                continue
-            acc[q] = acc.get(q, 0) + m
-        out = object.__new__(LRElement)
-        out._terms = acc
-        out._cap = self._cap
-        return out
-
     def truncated(self, l: int) -> "LRElement":
         """Image in the quotient that kills partitions longer than l."""
         return LRElement(self._terms, cap=l)
@@ -169,22 +151,3 @@ class LRElement:
             cap=obj["cap"],
         )
 
-
-def element_add(m: LRElement, n: LRElement) -> LRElement:
-    return m + n
-
-
-def bullet_prepend(a: int, m: LRElement) -> LRElement:
-    return m.bullet(a)
-
-
-def shift_add(a: Partition, m: LRElement) -> LRElement:
-    return m.shift_add(a)
-
-
-def truncate_to_length(m: LRElement, l: int) -> LRElement:
-    return m.truncated(l)
-
-
-def leq_elementwise(m: LRElement, n: LRElement) -> bool:
-    return m.leq(n)

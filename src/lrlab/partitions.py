@@ -110,9 +110,6 @@ class Partition:
                 cols[j] += 1
         return Partition._trusted(tuple(cols))
 
-    def cells(self) -> set[Cell]:
-        return {Cell(i + 1, j + 1) for i, p in enumerate(self._parts) for j in range(p)}
-
     def contains(self, other: "Partition") -> bool:
         """Young-diagram containment."""
         return all(self[i] >= q for i, q in enumerate(other.parts))
@@ -139,15 +136,6 @@ def _strip(ps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 EMPTY = Partition()
-
-
-def make_partition(raw: Iterable[int]) -> Partition:
-    """Canonicalize a raw integer sequence (strip trailing zeros, validate)."""
-    return Partition(raw)
-
-
-def add_pointwise(a: Partition, b: Partition, l: int | None = None) -> Partition:
-    return a.plus(b, l)
 
 
 def single_column(r: int) -> Partition:
@@ -196,15 +184,19 @@ def dominates(a: Partition, b: Partition) -> bool:
     return dominance_compare(a, b) in (Dominance.GREATER, Dominance.EQUAL)
 
 
+def _cells_beyond(a: Partition, b: Partition) -> set[Cell]:
+    """Cells of a's diagram outside b's: row i+1 holds columns b[i]+1..a[i]."""
+    return {Cell(i + 1, j + 1) for i, p in enumerate(a.parts) for j in range(b[i], p)}
+
+
 def diagram_difference(a: Partition, b: Partition) -> tuple[set[Cell], set[Cell]]:
     """Cells only in a's diagram and cells only in b's diagram."""
-    ca, cb = a.cells(), b.cells()
-    return ca - cb, cb - ca
+    return _cells_beyond(a, b), _cells_beyond(b, a)
 
 
 def diagram_distance(a: Partition, b: Partition) -> int:
     """Number of cells of a's diagram outside b's (the distance when weights agree)."""
-    return len(a.cells() - b.cells())
+    return sum(max(p - b[i], 0) for i, p in enumerate(a.parts))
 
 
 def interpolating_sequence(a: Partition, b: Partition) -> list[Partition]:

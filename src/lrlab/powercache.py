@@ -2,8 +2,10 @@
 
 Plain text: a magic first line, then one JSON record per entry, keyed by
 (partition, exponent, cap). A file whose header does not match the current
-format version is treated as empty and rewritten on save. Saving writes a
-temporary file next to the cache and renames it over the old one.
+format version, or that holds a record whose terms cannot occur in that
+power (not a partition, longer than the cap, of the wrong weight, or with a
+multiplicity below 1), is treated as empty and rewritten on save. Saving
+writes a temporary file next to the cache and renames it over the old one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,20 @@ import os
 MAGIC = "LRPOW1"
 
 Key = tuple[tuple[int, ...], int, int | None]
+
+
+def _check_terms(terms: dict[tuple[int, ...], int], weight: int, cap: int | None) -> None:
+    """Raise ValueError unless every term is a partition of the power's weight,
+    within the cap, with a positive multiplicity."""
+    for t, m in terms.items():
+        if (
+            m < 1
+            or sum(t) != weight
+            or (cap is not None and len(t) > cap)
+            or (t and t[-1] < 1)
+            or t != tuple(sorted(t, reverse=True))
+        ):
+            raise ValueError(f"term {list(t)} with multiplicity {m} cannot occur")
 
 
 class PowerCache:
@@ -44,6 +60,7 @@ class PowerCache:
                 rec = json.loads(line)
                 key = (tuple(rec["partition"]), int(rec["n"]), rec["cap"])
                 terms = {tuple(t[0]): int(t[1]) for t in rec["terms"]}
+                _check_terms(terms, key[1] * sum(key[0]), key[2])
             except (ValueError, KeyError, TypeError):
                 self.valid_header = False
                 self._entries.clear()

@@ -48,14 +48,6 @@ class VerificationReport:
         )
 
 
-def _coeff_str(q: Fraction) -> str:
-    return str(q)
-
-
-def _coeff_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass
 class ConeCertificate:
     member: bool
@@ -67,7 +59,7 @@ class ConeCertificate:
         deco = None
         if self.decomposition is not None:
             deco = [
-                {"subdivision": [list(iv) for iv in j.intervals], "coefficient": _coeff_str(q)}
+                {"subdivision": [list(iv) for iv in j.intervals], "coefficient": str(q)}
                 for j, q in self.decomposition
             ]
         return {
@@ -82,7 +74,7 @@ class ConeCertificate:
         deco = None
         if obj["decomposition"] is not None:
             deco = [
-                (Subdivision(len(iv) for iv in d["subdivision"]), _coeff_parse(d["coefficient"]))
+                (Subdivision(len(iv) for iv in d["subdivision"]), Fraction(d["coefficient"]))
                 for d in obj["decomposition"]
             ]
         return cls(member=obj["member"], n=obj["n"], decomposition=deco, reason=obj.get("reason", ""))

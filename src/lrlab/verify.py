@@ -1,17 +1,19 @@
 """Bounded machine verification of the product identities and containments.
 
-Each suite enumerates every instance that satisfies its hypotheses inside
-the given bounds, evaluates the claimed containment or equality with exact
-arithmetic, and records any counterexample verbatim. Instance order is the
-enumeration order, never the completion order, so reports are byte-stable
-regardless of the worker count.
+Each suite is one generator over (bounds, budget). It enumerates every
+instance that satisfies its hypotheses inside the bounds, checks the claimed
+containment or equality there, with exact arithmetic, and yields the
+instance record together with a failure reason, or None when the claim
+holds. verify_lemma counts the instances and keeps the failure records in
+enumeration order, so a report is byte-stable and each recorded failure can
+be replayed from its record alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .elements import LRElement
 from .errors import UnknownLemma
@@ -19,7 +21,9 @@ from .partitions import (
     Dominance,
     Partition,
     diagram_difference,
+    diagram_distance,
     dominance_compare,
+    dominates,
     interpolating_sequence,
     lcm_upto,
     partitions_of,
@@ -38,17 +42,11 @@ from .subdivisions import (
     reversed_negation,
 )
 
-
-def _p(x) -> Partition:
-    return Partition(x)
+Checked = Iterator[tuple[dict, str | None]]
 
 
 def _lp(p: Partition) -> list[int]:
     return list(p.parts)
-
-
-def _parts_upto(w: int, max_len: int | None = None) -> list[Partition]:
-    return list(partitions_up_to(w, max_len=max_len))
 
 
 def _sum_at(l: int, *ps: Partition) -> Partition:
@@ -77,450 +75,346 @@ def _distance_one_pairs(w: int, max_len: int | None = None):
 # ---------------------------------------------------------------- suites
 
 
-def _build_smaller(bounds, budget):
-    w = bounds["max_weight"]
+def _smaller(bounds, budget) -> Checked:
     pairs = []
-    for weight in range(1, w + 1):
+    for weight in range(1, bounds["max_weight"] + 1):
         pairs.extend(_distance_one_pairs(weight))
-    instances = []
     for a1, a2, ra_hi, ra_lo in pairs:
         for c1, c2, rc_hi, rc_lo in pairs:
             # the removed-cell row on each side must not exceed the
             # added-cell row on the other side
-            if ra_lo >= rc_hi and rc_lo >= ra_hi:
-                instances.append(
-                    {"A1": _lp(a1), "A2": _lp(a2), "C1": _lp(c1), "C2": _lp(c2)}
-                )
-
-    def check(inst):
-        a1, a2 = _p(inst["A1"]), _p(inst["A2"])
-        c1, c2 = _p(inst["C1"]), _p(inst["C2"])
-        if mul(a1, c1, budget=budget)[a2.plus(c2)] < 1:
-            return f"{a2}+{c2} missing from {a1}x{c1}"
-        return None
-
-    return instances, check
+            if not (ra_lo >= rc_hi and rc_lo >= ra_hi):
+                continue
+            reason = None
+            if mul(a1, c1, budget=budget)[a2.plus(c2)] < 1:
+                reason = f"{a2}+{c2} missing from {a1}x{c1}"
+            yield {"A1": _lp(a1), "A2": _lp(a2), "C1": _lp(c1), "C2": _lp(c2)}, reason
 
 
-def _build_chi(bounds, budget):
-    w, lmax = bounds["max_weight"], bounds["max_l"]
-    instances = []
-    for l in range(1, lmax + 1):
-        pool = _parts_upto(w, max_len=l)
+def _chi(bounds, budget) -> Checked:
+    w = bounds["max_weight"]
+    for l in range(1, bounds["max_l"] + 1):
+        pool = list(partitions_up_to(w, max_len=l))
         for a in pool:
             for b in pool:
-                shifted = reversed_negation(b, l).add_partition(a)
-                p = shifted.to_partition()
+                p = reversed_negation(b, l).add_partition(a).to_partition()
                 if p is None:
                     continue
-                instances.append({"l": l, "A": _lp(a), "B": _lp(b), "shifted": _lp(p)})
-
-    def check(inst):
-        l = inst["l"]
-        a, b, p = _p(inst["A"]), _p(inst["B"]), _p(inst["shifted"])
-        if mul(p, b, cap=l, budget=budget)[a] < 1:
-            return f"{a} missing from {p}x{b} at length {l}"
-        return None
-
-    return instances, check
+                reason = None
+                if mul(p, b, cap=l, budget=budget)[a] < 1:
+                    reason = f"{a} missing from {p}x{b} at length {l}"
+                yield {"l": l, "A": _lp(a), "B": _lp(b), "shifted": _lp(p)}, reason
 
 
-def _build_atensorl(bounds, budget):
-    w, lmax = bounds["max_weight"], bounds["max_l"]
-    instances = []
-    for l in range(1, lmax + 1):
-        for a in _parts_upto(w, max_len=l):
-            instances.append({"l": l, "A": _lp(a)})
-
-    def check(inst):
-        l, a = inst["l"], _p(inst["A"])
-        full = Partition([a.weight] * l)
-        if tensor_power(a, l, cap=l, budget=budget)[full] < 1:
-            return f"{full} missing from {a}^{l}"
-        shifted = reversed_negation(a, l).add_partition(full).to_partition()
-        if shifted is None:
-            return f"shifted target of {a} is not a partition"
-        if tensor_power(a, l - 1, cap=l, budget=budget)[shifted] < 1:
-            return f"{shifted} missing from {a}^{l - 1}"
-        return None
-
-    return instances, check
+def _atensorl(bounds, budget) -> Checked:
+    w = bounds["max_weight"]
+    for l in range(1, bounds["max_l"] + 1):
+        for a in partitions_up_to(w, max_len=l):
+            full = Partition([a.weight] * l)
+            shifted = reversed_negation(a, l).add_partition(full).to_partition()
+            reason = None
+            if tensor_power(a, l, cap=l, budget=budget)[full] < 1:
+                reason = f"{full} missing from {a}^{l}"
+            elif shifted is None:
+                reason = f"shifted target of {a} is not a partition"
+            elif tensor_power(a, l - 1, cap=l, budget=budget)[shifted] < 1:
+                reason = f"{shifted} missing from {a}^{l - 1}"
+            yield {"l": l, "A": _lp(a)}, reason
 
 
-def _build_exchange(bounds, budget):
-    lmax = bounds["max_l"]
-    instances = []
-    for l in range(1, lmax + 1):
-        for r in range(l + 1):
-            for s in range(l + 1 - r):
-                for t in range(l + 1 - r - s):
-                    for u in range(l + 1 - r - s - t):
-                        if r + s > 0 and t + u > 0 and r + t > 0 and s + u > 0:
-                            instances.append({"l": l, "r": r, "s": s, "t": t, "u": u})
-
-    def check(inst):
-        l, r, s, t, u = (inst[k] for k in ("l", "r", "s", "t", "u"))
-        left = _sum_at(l, single_column(r), single_column(l - t))
-        right = _sum_at(l, single_column(s), single_column(l - u))
-        target = _sum_at(
-            l, single_column(l), single_column(r + s - 1), single_column(l - t - u + 1)
-        )
-        if mul(left, right, cap=l, budget=budget)[target] < 1:
-            return f"{target} missing from {left}x{right} at length {l}"
-        return None
-
-    return instances, check
+def _exchange(bounds, budget) -> Checked:
+    for l in range(1, bounds["max_l"] + 1):
+        for r, s, t, u in product(range(l + 1), repeat=4):
+            if r + s + t + u > l or not (r + s and t + u and r + t and s + u):
+                continue
+            left = _sum_at(l, single_column(r), single_column(l - t))
+            right = _sum_at(l, single_column(s), single_column(l - u))
+            target = _sum_at(
+                l, single_column(l), single_column(r + s - 1), single_column(l - t - u + 1)
+            )
+            reason = None
+            if mul(left, right, cap=l, budget=budget)[target] < 1:
+                reason = f"{target} missing from {left}x{right} at length {l}"
+            yield {"l": l, "r": r, "s": s, "t": t, "u": u}, reason
 
 
-def _build_g_in_tensor(bounds, budget):
-    w, lmax = bounds["max_weight"], bounds["max_l"]
-    instances = []
-    for l in range(1, lmax + 1):
-        for mask in range(1 << (l - 1)):
-            for a in _parts_upto(w, max_len=l):
-                instances.append({"l": l, "mask": mask, "A": _lp(a)})
-
-    def check(inst):
-        l, mask, a = inst["l"], inst["mask"], _p(inst["A"])
-        j = Subdivision.from_mask(l, mask)
+def _g_in_tensor(bounds, budget) -> Checked:
+    w = bounds["max_weight"]
+    for l in range(1, bounds["max_l"] + 1):
         big_l = lcm_upto(l)
-        gen = cone_generator(a, j)
-        if tensor_power(a, big_l, cap=l, budget=budget)[gen] < 1:
-            return f"{gen} missing from {a}^{big_l}"
-        shifted = blockwise_reversed_negation(a, j).add_partition(gen).to_partition()
-        if shifted is None:
-            return f"shifted generator of {a} with {j} is not a partition"
-        if tensor_power(a, big_l - 1, cap=l, budget=budget)[shifted] < 1:
-            return f"{shifted} missing from {a}^{big_l - 1}"
-        return None
-
-    return instances, check
-
-
-def _build_h_in_tensor(bounds, budget):
-    w, lmax = bounds["max_weight"], bounds["max_l"]
-    instances = []
-    for l in range(1, lmax + 1):
+        pool = list(partitions_up_to(w, max_len=l))
         for mask in range(1 << (l - 1)):
-            for a in _parts_upto(w, max_len=l):
-                if not a:
-                    continue
+            j = Subdivision.from_mask(l, mask)
+            for a in pool:
+                gen = cone_generator(a, j)
+                shifted = blockwise_reversed_negation(a, j).add_partition(gen).to_partition()
+                reason = None
+                if tensor_power(a, big_l, cap=l, budget=budget)[gen] < 1:
+                    reason = f"{gen} missing from {a}^{big_l}"
+                elif shifted is None:
+                    reason = f"shifted generator of {a} with {j} is not a partition"
+                elif tensor_power(a, big_l - 1, cap=l, budget=budget)[shifted] < 1:
+                    reason = f"{shifted} missing from {a}^{big_l - 1}"
+                yield {"l": l, "mask": mask, "A": _lp(a)}, reason
+
+
+def _h_in_tensor(bounds, budget) -> Checked:
+    w = bounds["max_weight"]
+    for l in range(1, bounds["max_l"] + 1):
+        big_l = lcm_upto(l)
+        pool = [a for a in partitions_up_to(w, max_len=l) if a]
+        for mask in range(1 << (l - 1)):
+            j = Subdivision.from_mask(l, mask)
+            for a in pool:
                 conj = a.conjugate()
-                width = a.parts[0]
-                for beta in range(2, width + 1):
+                for beta in range(2, a.parts[0] + 1):
                     for delta in range(1, beta):
-                        if conj[delta - 1] + 1 <= l:
-                            instances.append(
-                                {"l": l, "mask": mask, "A": _lp(a), "beta": beta, "delta": delta}
+                        if conj[delta - 1] + 1 > l:
+                            continue
+                        m, n, h = perturbed_generator(a, j, beta, delta)
+                        reason = None
+                        if h is None:
+                            reason = (
+                                f"perturbation (m={m}, n={n}) of {a} with {j} is not a partition"
                             )
-
-    def check(inst):
-        l, mask, a = inst["l"], inst["mask"], _p(inst["A"])
-        j = Subdivision.from_mask(l, mask)
-        m, n, h = perturbed_generator(a, j, inst["beta"], inst["delta"])
-        if h is None:
-            return f"perturbation (m={m}, n={n}) of {a} with {j} is not a partition"
-        big_l = lcm_upto(l)
-        if tensor_power(a, big_l, cap=l, budget=budget)[h] < 1:
-            return f"{h} missing from {a}^{big_l}"
-        return None
-
-    return instances, check
+                        elif tensor_power(a, big_l, cap=l, budget=budget)[h] < 1:
+                            reason = f"{h} missing from {a}^{big_l}"
+                        record = {"l": l, "mask": mask, "A": _lp(a), "beta": beta, "delta": delta}
+                        yield record, reason
 
 
-def _build_h_mult_p(bounds, budget):
-    w, lmax, wp = bounds["max_weight"], bounds["max_l"], bounds["max_weight_p"]
-    instances = []
-    for l in range(1, lmax + 1):
+def _h_mult_p(bounds, budget) -> Checked:
+    w, wp = bounds["max_weight"], bounds["max_weight_p"]
+    for l in range(1, bounds["max_l"] + 1):
         move_pool = []
         for weight in range(1, wp + 1):
             move_pool.extend(_distance_one_pairs(weight, max_len=l))
+        pool = list(partitions_up_to(w, max_len=l))
         for mask in range(1 << (l - 1)):
             j = Subdivision.from_mask(l, mask)
-            for a in _parts_upto(w, max_len=l):
-                for m in range(1, j.block_count + 1):
-                    for n in range(1, j.block_count + 1):
-                        if not (m < n or (m == n and j.sizes[m - 1] > 1)):
+            blocks = range(1, j.block_count + 1)
+            for a in pool:
+                gen = cone_generator(a, j)
+                for m, n in product(blocks, blocks):
+                    if not (m < n or (m == n and j.sizes[m - 1] > 1)):
+                        continue
+                    h = perturbed_generator_raw(a, j, m, n)
+                    if h is None:
+                        continue
+                    for p_hi, p_lo, r_hi, r_lo in move_pool:
+                        if not (j.block_of(r_hi) <= m and n <= j.block_of(r_lo)):
                             continue
-                        if perturbed_generator_raw(a, j, m, n) is None:
-                            continue
-                        for p_hi, p_lo, r_hi, r_lo in move_pool:
-                            if j.block_of(r_hi) <= m and n <= j.block_of(r_lo):
-                                instances.append(
-                                    {
-                                        "l": l,
-                                        "mask": mask,
-                                        "A": _lp(a),
-                                        "m": m,
-                                        "n": n,
-                                        "P": _lp(p_hi),
-                                        "P2": _lp(p_lo),
-                                    }
-                                )
-
-    def check(inst):
-        l, mask, a = inst["l"], inst["mask"], _p(inst["A"])
-        j = Subdivision.from_mask(l, mask)
-        h = perturbed_generator_raw(a, j, inst["m"], inst["n"])
-        target = _sum_at(l, cone_generator(a, j), _p(inst["P2"]))
-        if mul(h, _p(inst["P"]), cap=l, budget=budget)[target] < 1:
-            return f"{target} missing from {h}x{inst['P']} at length {l}"
-        return None
-
-    return instances, check
+                        target = _sum_at(l, gen, p_lo)
+                        reason = None
+                        if mul(h, p_hi, cap=l, budget=budget)[target] < 1:
+                            reason = f"{target} missing from {h}x{_lp(p_hi)} at length {l}"
+                        record = {
+                            "l": l,
+                            "mask": mask,
+                            "A": _lp(a),
+                            "m": m,
+                            "n": n,
+                            "P": _lp(p_hi),
+                            "P2": _lp(p_lo),
+                        }
+                        yield record, reason
 
 
-def _build_a_mult_pp(bounds, budget):
-    w, lmax, kmax = bounds["max_weight"], bounds["max_l"], bounds["max_k"]
-    instances = []
-    for l in range(1, lmax + 1):
+def _a_mult_pp(bounds, budget) -> Checked:
+    w, kmax = bounds["max_weight"], bounds["max_k"]
+    for l in range(1, bounds["max_l"] + 1):
+        pool = list(partitions_up_to(w, max_len=l))
         for mask in range(1 << (l - 1)):
-            for a in _parts_upto(w, max_len=l):
+            j = Subdivision.from_mask(l, mask)
+            for a in pool:
                 for b in partitions_of(a.weight, max_len=l):
                     if dominance_compare(a, b) is not Dominance.GREATER:
                         continue
-                    only_a, _ = diagram_difference(a, b)
-                    k = len(only_a)
-                    if 1 <= k <= kmax:
-                        instances.append(
-                            {"l": l, "mask": mask, "A": _lp(a), "B": _lp(b), "k": k}
-                        )
-
-    def check(inst):
-        l, k = inst["l"], inst["k"]
-        a, b = _p(inst["A"]), _p(inst["B"])
-        j = Subdivision.from_mask(l, inst["mask"])
-        target = _sum_at(l, cone_generator(a, j).scaled(k), b)
-        power = tensor_power(a, k * lcm_upto(l) + 1, cap=l, budget=budget)
-        if power[target] < 1:
-            return f"{target} missing from {a}^{k * lcm_upto(l) + 1}"
-        return None
-
-    return instances, check
+                    k = diagram_distance(a, b)
+                    if not 1 <= k <= kmax:
+                        continue
+                    target = _sum_at(l, cone_generator(a, j).scaled(k), b)
+                    n = k * lcm_upto(l) + 1
+                    reason = None
+                    if tensor_power(a, n, cap=l, budget=budget)[target] < 1:
+                        reason = f"{target} missing from {a}^{n}"
+                    yield {"l": l, "mask": mask, "A": _lp(a), "B": _lp(b), "k": k}, reason
 
 
-def _build_mult_plus(bounds, budget):
+def _mult_plus(bounds, budget) -> Checked:
     w = bounds["max_weight"]
-    pool = _parts_upto(w)
-    instances = []
+    pool = list(partitions_up_to(w))
     for b1 in pool:
         for c1 in pool:
-            if b1.weight + c1.weight > w:
-                continue
+            w1 = b1.weight + c1.weight
+            if w1 > w:
+                break
             supp1 = [q for q, _ in mul(b1, c1, budget=budget).items()]
             for b2 in pool:
                 for c2 in pool:
-                    if b1.weight + c1.weight + b2.weight + c2.weight > w:
-                        continue
+                    if w1 + b2.weight + c2.weight > w:
+                        break
                     supp2 = [q for q, _ in mul(b2, c2, budget=budget).items()]
+                    big = mul(b1.plus(b2), c1.plus(c2), budget=budget)
                     for a1 in supp1:
                         for a2 in supp2:
-                            instances.append(
-                                {
-                                    "B1": _lp(b1),
-                                    "C1": _lp(c1),
-                                    "B2": _lp(b2),
-                                    "C2": _lp(c2),
-                                    "A1": _lp(a1),
-                                    "A2": _lp(a2),
-                                }
-                            )
-
-    def check(inst):
-        b1, c1 = _p(inst["B1"]), _p(inst["C1"])
-        b2, c2 = _p(inst["B2"]), _p(inst["C2"])
-        a1, a2 = _p(inst["A1"]), _p(inst["A2"])
-        if mul(b1.plus(b2), c1.plus(c2), budget=budget)[a1.plus(a2)] < 1:
-            return f"{a1.plus(a2)} missing from ({b1}+{b2})x({c1}+{c2})"
-        return None
-
-    return instances, check
+                            reason = None
+                            if big[a1.plus(a2)] < 1:
+                                reason = f"{a1.plus(a2)} missing from ({b1}+{b2})x({c1}+{c2})"
+                            record = {
+                                "B1": _lp(b1),
+                                "C1": _lp(c1),
+                                "B2": _lp(b2),
+                                "C2": _lp(c2),
+                                "A1": _lp(a1),
+                                "A2": _lp(a2),
+                            }
+                            yield record, reason
 
 
-def _build_mult_inert(bounds, budget):
+def _mult_inert(bounds, budget) -> Checked:
     w = bounds["max_weight"]
-    pool = _parts_upto(w)
-    instances = [
-        {"A": _lp(a), "B": _lp(b), "C": _lp(c)}
-        for a in pool
-        for b in pool
-        for c in pool
-        if a.weight + b.weight + c.weight <= w
-    ]
-
-    def check(inst):
-        a, b, c = _p(inst["A"]), _p(inst["B"]), _p(inst["C"])
-        lhs = mul(a.plus(b), c, budget=budget)
-        rhs = mul(b, c, budget=budget).shift_add(a)
-        if not rhs.leq(lhs):
-            return f"{a}+({b}x{c}) is not below ({a}+{b})x{c}"
-        return None
-
-    return instances, check
+    pool = list(partitions_up_to(w))
+    for a in pool:
+        for b in pool:
+            if a.weight + b.weight > w:
+                break
+            for c in pool:
+                if a.weight + b.weight + c.weight > w:
+                    break
+                lhs = mul(a.plus(b), c, budget=budget)
+                rhs = mul(b, c, budget=budget).shift_add(a)
+                reason = None
+                if not rhs.leq(lhs):
+                    reason = f"{a}+({b}x{c}) is not below ({a}+{b})x{c}"
+                yield {"A": _lp(a), "B": _lp(b), "C": _lp(c)}, reason
 
 
-def _build_mult_circ(bounds, budget):
-    w, lmax = bounds["max_weight"], bounds["max_l"]
-    instances = []
-    for l in range(1, lmax + 1):
-        pool = _parts_upto(w, max_len=l)
+def _mult_circ(bounds, budget) -> Checked:
+    w = bounds["max_weight"]
+    for l in range(1, bounds["max_l"] + 1):
+        pool = list(partitions_up_to(w, max_len=l))
         for mask in range(1 << (l - 1)):
             j = Subdivision.from_mask(l, mask)
             for b in pool:
                 for c in pool:
                     if b.weight + c.weight > w:
-                        continue
-                    block_supports = []
+                        break
+                    supports = []
                     for iv in j.intervals:
-                        bi = restrict(b, iv, l)
-                        ci = restrict(c, iv, l)
-                        prod = mul(bi, ci, cap=len(iv), budget=budget)
-                        block_supports.append([q for q, _ in prod.items()])
-                    def walk(i, chosen):
-                        if i == len(block_supports):
-                            instances.append(
-                                {
-                                    "l": l,
-                                    "mask": mask,
-                                    "B": _lp(b),
-                                    "C": _lp(c),
-                                    "blocks": [list(q) for q in chosen],
-                                }
-                            )
-                            return
-                        for q in block_supports[i]:
-                            walk(i + 1, chosen + [q.parts])
-                    walk(0, [])
-
-    def check(inst):
-        l, mask = inst["l"], inst["mask"]
-        j = Subdivision.from_mask(l, mask)
-        flat = []
-        for iv, blk in zip(j.intervals, inst["blocks"]):
-            flat.extend(list(blk) + [0] * (len(iv) - len(blk)))
-        joined = None
-        if all(x >= y for x, y in zip(flat, flat[1:])):
-            joined = Partition(flat)
-        if joined is None:
-            return f"concatenation {flat} is not a partition"
-        b, c = _p(inst["B"]), _p(inst["C"])
-        if mul(b, c, cap=l, budget=budget)[joined] < 1:
-            return f"{joined} missing from {b}x{c} at length {l}"
-        return None
-
-    return instances, check
+                        block = mul(restrict(b, iv, l), restrict(c, iv, l), cap=len(iv), budget=budget)
+                        supports.append([q.parts for q, _ in block.items()])
+                    whole = mul(b, c, cap=l, budget=budget)
+                    for chosen in product(*supports):
+                        flat = []
+                        for iv, blk in zip(j.intervals, chosen):
+                            flat.extend(blk + (0,) * (len(iv) - len(blk)))
+                        reason = None
+                        if any(x < y for x, y in zip(flat, flat[1:])):
+                            reason = f"concatenation {flat} is not a partition"
+                        elif whole[Partition(flat)] < 1:
+                            reason = f"{Partition(flat)} missing from {b}x{c} at length {l}"
+                        record = {
+                            "l": l,
+                            "mask": mask,
+                            "B": _lp(b),
+                            "C": _lp(c),
+                            "blocks": [list(q) for q in chosen],
+                        }
+                        yield record, reason
 
 
-def _build_pseq(bounds, budget):
-    w = bounds["max_weight"]
-    instances = []
-    for weight in range(w + 1):
+def _chain_reason(a: Partition, b: Partition) -> str | None:
+    """Why interpolating_sequence(a, b) is not a one-cell chain inside the
+    symmetric difference of the two diagrams, or None."""
+    seq = interpolating_sequence(a, b)
+    only_a, only_b = diagram_difference(a, b)
+    if len(seq) != len(only_a) + 1:
+        return f"length {len(seq)} differs from distance {len(only_a)} + 1"
+    if seq[0] != a or seq[-1] != b:
+        return "endpoints wrong"
+    for x, y in zip(seq, seq[1:]):
+        dx, dy = diagram_difference(x, y)
+        if len(dx) != 1 or len(dy) != 1:
+            return f"adjacent distance is not 1 between {x} and {y}"
+        if dominance_compare(x, y) is not Dominance.GREATER:
+            return f"{x} does not strictly dominate {y}"
+    for i in range(len(seq)):
+        for jdx in range(i + 1, len(seq)):
+            di, dj = diagram_difference(seq[i], seq[jdx])
+            if not di <= only_a or not dj <= only_b:
+                return f"cells of step {i}->{jdx} leave the symmetric difference"
+    return None
+
+
+def _pseq(bounds, budget) -> Checked:
+    for weight in range(bounds["max_weight"] + 1):
         pool = list(partitions_of(weight))
         for a in pool:
             for b in pool:
-                if dominance_compare(a, b) in (Dominance.GREATER, Dominance.EQUAL):
-                    instances.append({"A": _lp(a), "B": _lp(b)})
-
-    def check(inst):
-        a, b = _p(inst["A"]), _p(inst["B"])
-        seq = interpolating_sequence(a, b)
-        only_a, only_b = diagram_difference(a, b)
-        if len(seq) != len(only_a) + 1:
-            return f"length {len(seq)} differs from distance {len(only_a)} + 1"
-        if seq[0] != a or seq[-1] != b:
-            return "endpoints wrong"
-        for x, y in zip(seq, seq[1:]):
-            dx, dy = diagram_difference(x, y)
-            if len(dx) != 1 or len(dy) != 1:
-                return f"adjacent distance is not 1 between {x} and {y}"
-            if dominance_compare(x, y) is not Dominance.GREATER:
-                return f"{x} does not strictly dominate {y}"
-        for i in range(len(seq)):
-            for jdx in range(i + 1, len(seq)):
-                di, dj = diagram_difference(seq[i], seq[jdx])
-                if not di <= only_a or not dj <= only_b:
-                    return f"cells of step {i}->{jdx} leave the symmetric difference"
-        return None
-
-    return instances, check
+                if dominates(a, b):
+                    yield {"A": _lp(a), "B": _lp(b)}, _chain_reason(a, b)
 
 
-def _build_chi_symmetry(bounds, budget):
-    w, lmax, shift = bounds["max_weight"], bounds["max_l"], bounds["max_shift"]
-    instances = []
-    for l in range(1, lmax + 1):
-        pool = _parts_upto(w, max_len=l)
-        for a in pool:
-            for m in range(shift + 1):
-                if reversed_negation(a, l).add_partition(single_column(l).scaled(m)).to_partition() is None:
-                    continue
-                for b in pool:
-                    for n in range(shift + 1):
-                        if (
-                            reversed_negation(b, l)
-                            .add_partition(single_column(l).scaled(n))
-                            .to_partition()
-                            is None
-                        ):
-                            continue
-                        instances.append(
-                            {"l": l, "A": _lp(a), "B": _lp(b), "m": m, "n": n}
-                        )
-
-    def check(inst):
-        l, m, n = inst["l"], inst["m"], inst["n"]
-        a, b = _p(inst["A"]), _p(inst["B"])
+def _chi_symmetry(bounds, budget) -> Checked:
+    w, shift = bounds["max_weight"], bounds["max_shift"]
+    for l in range(1, bounds["max_l"] + 1):
         det = single_column(l)
-        pa = reversed_negation(a, l).add_partition(det.scaled(m)).to_partition()
-        pb = reversed_negation(b, l).add_partition(det.scaled(n)).to_partition()
-        lhs = mul(pa, pb, cap=l, budget=budget)
-        image: dict[Partition, int] = {}
-        for c, mult in mul(a, b, cap=l, budget=budget).items():
-            q = reversed_negation(c, l).add_partition(det.scaled(m + n)).to_partition()
-            if q is None:
-                return f"image of {c} under the symmetry is not a partition"
-            image[q] = image.get(q, 0) + mult
-        if lhs != LRElement(image, cap=l):
-            return f"symmetry image of {a}x{b} differs from {pa}x{pb}"
-        return None
-
-    return instances, check
-
-
-def _build_highest_term(bounds, budget):
-    w = bounds["max_weight"]
-    pool = _parts_upto(w)
-    instances = [{"A": _lp(a), "B": _lp(b)} for a in pool for b in pool]
-
-    def check(inst):
-        a, b = _p(inst["A"]), _p(inst["B"])
-        prod = mul(a, b, budget=budget)
-        top = a.plus(b)
-        if prod[top] != 1:
-            return f"{top} has multiplicity {prod[top]} in {a}x{b}"
-        for c, _ in prod.items():
-            if c != top and dominance_compare(top, c) is not Dominance.GREATER:
-                return f"term {c} of {a}x{b} is not strictly below {top}"
-        return None
-
-    return instances, check
+        # (A, m, chi(A) + m*det) for every A whose shifted image is a partition
+        shifted = []
+        for a in partitions_up_to(w, max_len=l):
+            for m in range(shift + 1):
+                pa = reversed_negation(a, l).add_partition(det.scaled(m)).to_partition()
+                if pa is not None:
+                    shifted.append((a, m, pa))
+        for a, m, pa in shifted:
+            for b, n, pb in shifted:
+                lhs = mul(pa, pb, cap=l, budget=budget)
+                image: dict[Partition, int] = {}
+                reason = None
+                for c, mult in mul(a, b, cap=l, budget=budget).items():
+                    q = reversed_negation(c, l).add_partition(det.scaled(m + n)).to_partition()
+                    if q is None:
+                        reason = f"image of {c} under the symmetry is not a partition"
+                        break
+                    image[q] = image.get(q, 0) + mult
+                if reason is None and lhs != LRElement(image, cap=l):
+                    reason = f"symmetry image of {a}x{b} differs from {pa}x{pb}"
+                yield {"l": l, "A": _lp(a), "B": _lp(b), "m": m, "n": n}, reason
 
 
-_SUITES: dict[str, tuple[dict[str, int], Callable]] = {
-    "SMALLER": ({"max_weight": 6}, _build_smaller),
-    "CHI": ({"max_weight": 5, "max_l": 3}, _build_chi),
-    "ATENSORL": ({"max_weight": 5, "max_l": 3}, _build_atensorl),
-    "EXCHANGE": ({"max_l": 5}, _build_exchange),
-    "G_IN_TENSOR": ({"max_weight": 4, "max_l": 3}, _build_g_in_tensor),
-    "H_IN_TENSOR": ({"max_weight": 4, "max_l": 3}, _build_h_in_tensor),
-    "H_MULT_P": ({"max_weight": 4, "max_l": 3, "max_weight_p": 4}, _build_h_mult_p),
-    "A_MULT_PP": ({"max_weight": 4, "max_l": 3, "max_k": 2}, _build_a_mult_pp),
-    "MULT_PLUS": ({"max_weight": 6}, _build_mult_plus),
-    "MULT_INERT": ({"max_weight": 6}, _build_mult_inert),
-    "MULT_CIRC": ({"max_weight": 6, "max_l": 3}, _build_mult_circ),
-    "PSEQ": ({"max_weight": 8}, _build_pseq),
-    "CHI_SYMMETRY": ({"max_weight": 4, "max_l": 3, "max_shift": 4}, _build_chi_symmetry),
-    "HIGHEST_TERM": ({"max_weight": 6}, _build_highest_term),
+def _highest_term(bounds, budget) -> Checked:
+    pool = list(partitions_up_to(bounds["max_weight"]))
+    for a in pool:
+        for b in pool:
+            prod = mul(a, b, budget=budget)
+            top = a.plus(b)
+            reason = None
+            if prod[top] != 1:
+                reason = f"{top} has multiplicity {prod[top]} in {a}x{b}"
+            else:
+                for c, _ in prod.items():
+                    if c != top and dominance_compare(top, c) is not Dominance.GREATER:
+                        reason = f"term {c} of {a}x{b} is not strictly below {top}"
+                        break
+            yield {"A": _lp(a), "B": _lp(b)}, reason
+
+
+_SUITES: dict[str, tuple[dict[str, int], Callable[[dict[str, int], int | None], Checked]]] = {
+    "SMALLER": ({"max_weight": 6}, _smaller),
+    "CHI": ({"max_weight": 5, "max_l": 3}, _chi),
+    "ATENSORL": ({"max_weight": 5, "max_l": 3}, _atensorl),
+    "EXCHANGE": ({"max_l": 5}, _exchange),
+    "G_IN_TENSOR": ({"max_weight": 4, "max_l": 3}, _g_in_tensor),
+    "H_IN_TENSOR": ({"max_weight": 4, "max_l": 3}, _h_in_tensor),
+    "H_MULT_P": ({"max_weight": 4, "max_l": 3, "max_weight_p": 4}, _h_mult_p),
+    "A_MULT_PP": ({"max_weight": 4, "max_l": 3, "max_k": 2}, _a_mult_pp),
+    "MULT_PLUS": ({"max_weight": 6}, _mult_plus),
+    "MULT_INERT": ({"max_weight": 6}, _mult_inert),
+    "MULT_CIRC": ({"max_weight": 6, "max_l": 3}, _mult_circ),
+    "PSEQ": ({"max_weight": 8}, _pseq),
+    "CHI_SYMMETRY": ({"max_weight": 4, "max_l": 3, "max_shift": 4}, _chi_symmetry),
+    "HIGHEST_TERM": ({"max_weight": 6}, _highest_term),
 }
 
 LEMMA_IDS: tuple[str, ...] = tuple(_SUITES)
@@ -535,30 +429,24 @@ def default_bounds(lemma_id: str) -> dict[str, int]:
 def verify_lemma(
     lemma_id: str,
     bounds: dict[str, int] | None = None,
-    threads: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:
     """Run one suite and report sweep size, failures, and elapsed time."""
     if lemma_id not in _SUITES:
         raise UnknownLemma(f"no suite named {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
-    defaults, build = _SUITES[lemma_id]
+    defaults, suite = _SUITES[lemma_id]
     eff = {k: (bounds or {}).get(k, v) for k, v in defaults.items()}
     start = perf_counter()
-    instances, check = build(eff, budget)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, instances, chunksize=32))
-    else:
-        results = [check(inst) for inst in instances]
-    failures = [
-        {**inst, "reason": reason}
-        for inst, reason in zip(instances, results)
-        if reason is not None
-    ]
+    cases = 0
+    failures = []
+    for record, reason in suite(eff, budget):
+        cases += 1
+        if reason is not None:
+            failures.append({**record, "reason": reason})
     return VerificationReport(
         lemma_id=lemma_id,
         bounds=eff,
-        cases_checked=len(instances),
+        cases_checked=cases,
         failures=failures,
         elapsed=perf_counter() - start,
     )
@@ -566,9 +454,8 @@ def verify_lemma(
 
 def verify_all(
     bounds: dict[str, int] | None = None,
-    threads: int = 1,
     budget: int | None = None,
 ) -> list[VerificationReport]:
     """All suites in registry order; shared memo caches make this cheaper
     than the sum of its parts."""
-    return [verify_lemma(lid, bounds, threads, budget) for lid in LEMMA_IDS]
+    return [verify_lemma(lid, bounds, budget) for lid in LEMMA_IDS]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lrlab import LRElement, Partition, Subdivision, VerificationReport
+from lrlab import LRElement, Partition, Subdivision, VerificationReport, clear_caches
 from lrlab.cli import main, parse_partition
 from lrlab.cli import UsageError
 from lrlab.powercache import MAGIC, PowerCache
@@ -274,6 +274,73 @@ class TestCache:
         assert len(records) == 1
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["powers.lrpow"]
+
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            [[7, -1], "1"],  # negative part
+            [[6, 0], "1"],  # trailing zero
+            [[2, 4], "1"],  # not weakly decreasing
+            [[2, 2, 2], "1"],  # longer than the cap
+            [[4, 1], "1"],  # wrong weight
+            [[6], "0"],  # multiplicity below 1
+        ],
+    )
+    def test_corrupt_record_invalidates(self, tmp_path, capsys, term):
+        path = tmp_path / "powers.lrpow"
+        argv = ["power", "[2,1]", "2", "--l", "2", "--cache", str(path)]
+        clear_caches()
+        code, fresh = run_cli(capsys, *argv)
+        assert code == 0
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines[1:], 1):
+            rec = json.loads(line)
+            if rec["n"] == 2:
+                rec["terms"].append(term)
+                lines[i] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        cache = PowerCache(str(path))
+        assert not cache.valid_header and len(cache) == 0
+        clear_caches()
+        assert run_cli(capsys, *argv) == (0, fresh)
+        assert PowerCache(str(path)).valid_header
+
+    def test_unwritable_cache_path_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.lrpow"
+        assert main(["power", "[2]", "2", "--cache", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_directory_as_cache_is_usage_error(self, tmp_path, capsys):
+        folder = tmp_path / "powers.lrpow"
+        folder.mkdir()
+        assert main(["power", "[2]", "2", "--cache", str(folder)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == ["powers.lrpow"]
+        assert os.listdir(folder) == []
+
+
+class TestNegativeOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mul", "[2,1]", "[1]", "--l", "-1"],
+            ["power", "[2,1]", "2", "--l", "-1"],
+            ["transfer", "[2]", "[1,1]", "--d", "-1"],
+            ["verify", "--lemma", "CHI", "--max-l", "-2"],
+            ["verify", "--lemma", "CHI", "--max-weight", "-1"],
+            ["verify", "--lemma", "A_MULT_PP", "--max-k", "-1"],
+            ["verify", "--lemma", "H_MULT_P", "--max-weight-p", "-1"],
+            ["verify", "--lemma", "CHI_SYMMETRY", "--max-shift", "-1"],
+        ],
+    )
+    def test_rejected_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-negative" in captured.err
 
 
 class TestDeterminism:

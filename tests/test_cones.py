@@ -1,5 +1,7 @@
 """Cone membership, exact generator decompositions, the explicit bound."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,9 @@ from lrlab import (
     cone_generator,
     cone_generator_decomposition,
     cone_membership,
+    dominates,
     minimal_uniform_exponent,
+    partitions_of,
     partitions_up_to,
     theorem_bound,
 )
@@ -139,3 +143,29 @@ def test_certificate_json_roundtrip():
     assert back.to_json() == cert.to_json()
     non = cone_membership(P(3, 1), P(2, 1), 3)
     assert ConeCertificate.from_json(non.to_json()).to_json() == non.to_json()
+
+
+class TestPinned:
+    """Bounds and certificates recorded before the row reduction was merged."""
+
+    PINS = json.loads((pathlib.Path(__file__).with_name("data") / "cones_pins.json").read_text())
+
+    def test_theorem_bound(self):
+        got = {
+            f"{a} l={l}": theorem_bound(a, l)
+            for l in range(1, 4)
+            for a in partitions_up_to(4, max_len=l)
+        }
+        assert got == self.PINS["theorem_bound"]
+
+    def test_decompositions(self):
+        got = {
+            f"{b} {a} l={l}": cone_generator_decomposition(b, a, l).to_json()
+            for l in range(1, 4)
+            for a in partitions_up_to(3, max_len=l)
+            if a
+            for n in range(1, 4)
+            for b in partitions_of(n * a.weight, max_len=l)
+            if dominates(a.scaled(n), b)
+        }
+        assert got == self.PINS["decompositions"]

