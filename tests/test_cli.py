@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, determinism, cache."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -15,6 +16,7 @@ from lrlab.powercache import MAGIC, PowerCache
 from lrlab.reports import ConeCertificate, ExponentSearch, TransferWitness
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+GOLDEN = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -359,3 +361,37 @@ class TestDeterminism:
         a = run_proc("power", "[2,1]", "4", "--l", "3", "--threads", "1")
         b = run_proc("power", "[2,1]", "4", "--l", "3", "--threads", "8")
         assert a == b and a[0] == 0
+
+
+class TestGolden:
+    """Exit code, stdout digest and last stderr line of each recorded command.
+
+    Each case runs in process through main, in a fresh directory, after its
+    setup files and setup commands; "env" is set for the command only.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads(GOLDEN.read_text()),
+        ids=lambda c: "_".join(c["argv"]) or "no-command",
+    )
+    def test_matches_golden(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("LRLAB_BUDGET", raising=False)
+        for name, text in case.get("files", {}).items():
+            (tmp_path / name).write_text(text)
+        for argv in case.get("before", []):
+            assert main(argv) == 0
+        for key, value in case.get("env", {}).items():
+            monkeypatch.setenv(key, value)
+        capsys.readouterr()
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert {
+            "code": code,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr_last": err.splitlines()[-1] if err else "",
+        } == case["expect"]

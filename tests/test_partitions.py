@@ -1,5 +1,7 @@
 """Partition canonical form, dominance order, diagrams, interpolation."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +234,21 @@ class TestEnumeration:
         ]
         assert got == brute
         assert got[0] == target
+
+    def test_dominated_enumeration_digest(self):
+        # every target of weight <= 14 at every length 0..6 that fits it,
+        # with each result list in enumeration order; recorded at 34b6c4b
+        digest = hashlib.sha256()
+        count = 0
+        for t in partitions_up_to(14):
+            for l in range(len(t), 7):
+                count += 1
+                below = " ".join(str(b) for b in dominated_partitions(t, l))
+                digest.update(f"{t} {l}: {below}\n".encode())
+        assert count == 1180
+        assert digest.hexdigest() == (
+            "8be83a408dfb47fb94490a6f2567d66e7963ed60421b7fc0bc941ab0b9c68861"
+        )
 
 
 def test_lcm_upto():
