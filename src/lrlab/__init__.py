@@ -26,7 +26,6 @@ from .partitions import (
     Cell,
     Dominance,
     Partition,
-    SignedVector,
     column_decomposition,
     diagram_difference,
     diagram_distance,
@@ -56,13 +55,11 @@ from .reports import ConeCertificate, ExponentSearch, TransferWitness, Verificat
 from .search import minimal_uniform_exponent, property_holds, transfer_witness
 from .subdivisions import (
     Subdivision,
-    add_cell_shift,
     all_subdivisions,
     blockwise_reversed_negation,
     cone_generator,
     perturbed_generator,
     perturbed_generator_raw,
-    remove_cell_shift,
     restrict,
     reversed_negation,
 )

@@ -31,12 +31,15 @@ from .errors import (
 from .partitions import Partition, dominance_compare, interpolating_sequence
 from .powercache import MAGIC, PowerCache
 from .product import mul, tensor_power
-from .reports import VerificationReport
 from .search import minimal_uniform_exponent, transfer_witness
 from .subdivisions import Subdivision, all_subdivisions, perturbed_generator, perturbed_generator_raw, cone_generator
 from .verify import LEMMA_IDS, verify_all, verify_lemma
 
 _PARTITION_RE = re.compile(r"^\[(\d+(,\d+)*)?\]$")
+_BOUND_NAMES = ("max_weight", "max_l", "max_k", "max_weight_p", "max_shift")
+
+# a command's output (a JSON object under --json, else its text lines) and exit code
+Output = tuple[dict | list[str], int]
 
 
 class UsageError(LRLabError):
@@ -65,77 +68,36 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _emit(line: str = "") -> None:
-    sys.stdout.write(line + "\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj))
-
-
 def _element_text(elem: LRElement) -> list[str]:
-    rows = [f"{p} {m}" for p, m in elem.items()]
-    return rows if rows else ["empty"]
+    return [f"{p} {m}" for p, m in elem.items()] or ["empty"]
 
 
-def _bounds_from_args(args) -> dict[str, int]:
-    out = {}
-    for flag, key in (
-        ("max_weight", "max_weight"),
-        ("max_l", "max_l"),
-        ("max_k", "max_k"),
-        ("max_weight_p", "max_weight_p"),
-        ("max_shift", "max_shift"),
-    ):
-        v = getattr(args, flag, None)
-        if v is not None:
-            out[key] = v
-    return out
-
-
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> Output:
     prod = mul(parse_partition(args.a), parse_partition(args.b), cap=args.l)
-    if args.json:
-        _emit_json(prod.to_json())
-    else:
-        for row in _element_text(prod):
-            _emit(row)
-    return 0
+    return (prod.to_json() if args.json else _element_text(prod)), 0
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args) -> Output:
     cache = PowerCache(args.cache) if args.cache else None
     power = tensor_power(parse_partition(args.a), args.n, cap=args.l, cache=cache)
     if cache is not None:
         cache.save()
-    if args.json:
-        _emit_json(power.to_json())
-    else:
-        for row in _element_text(power):
-            _emit(row)
-    return 0
+    return (power.to_json() if args.json else _element_text(power)), 0
 
 
-def _cmd_dominance(args) -> int:
+def _cmd_dominance(args) -> Output:
     rel = dominance_compare(parse_partition(args.a), parse_partition(args.b))
-    if args.json:
-        _emit_json({"relation": rel.value})
-    else:
-        _emit(rel.value)
-    return 0
+    return ({"relation": rel.value} if args.json else [rel.value]), 0
 
 
-def _cmd_interpolate(args) -> int:
+def _cmd_interpolate(args) -> Output:
     seq = interpolating_sequence(parse_partition(args.a), parse_partition(args.b))
     if args.json:
-        _emit_json({"sequence": [list(p.parts) for p in seq]})
-    else:
-        for p in seq:
-            _emit(str(p))
-    return 0
+        return {"sequence": [list(p.parts) for p in seq]}, 0
+    return [str(p) for p in seq], 0
 
 
-def _cmd_gj(args) -> int:
+def _cmd_gj(args) -> Output:
     a = parse_partition(args.a)
     l = args.l
     if args.mask is not None:
@@ -143,24 +105,16 @@ def _cmd_gj(args) -> int:
     else:
         subs = list(all_subdivisions(l))
     rows = [(j, cone_generator(a, j)) for j in subs]
-    if args.json:
-        _emit_json(
-            {
-                "partition": list(a.parts),
-                "l": l,
-                "generators": [
-                    {"subdivision": [list(iv) for iv in j.intervals], "generator": list(g.parts)}
-                    for j, g in rows
-                ],
-            }
-        )
-    else:
-        for j, g in rows:
-            _emit(f"J={j} G={g}")
-    return 0
+    if not args.json:
+        return [f"J={j} G={g}" for j, g in rows], 0
+    generators = [
+        {"subdivision": [list(iv) for iv in j.intervals], "generator": list(g.parts)}
+        for j, g in rows
+    ]
+    return {"partition": list(a.parts), "l": l, "generators": generators}, 0
 
 
-def _cmd_hj(args) -> int:
+def _cmd_hj(args) -> Output:
     a = parse_partition(args.a)
     j = Subdivision.from_mask(args.l, args.mask)
     if args.m is not None or args.n is not None:
@@ -171,97 +125,77 @@ def _cmd_hj(args) -> int:
     else:
         if args.beta is None or args.delta is None:
             raise UsageError("give either --beta and --delta, or --m and --n")
-        try:
-            m, n, h = perturbed_generator(a, j, args.beta, args.delta)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        m, n, h = perturbed_generator(a, j, args.beta, args.delta)
     if args.json:
-        _emit_json({"m": m, "n": n, "partition": None if h is None else list(h.parts)})
-    else:
-        _emit(f"m={m} n={n} H={'not-a-partition' if h is None else h}")
-    return 0
+        return {"m": m, "n": n, "partition": None if h is None else list(h.parts)}, 0
+    return [f"m={m} n={n} H={'not-a-partition' if h is None else h}"], 0
 
 
-def _report_lines(rep: VerificationReport) -> list[str]:
-    head = f"{rep.lemma_id}: {rep.status} (cases={rep.cases_checked}, failures={len(rep.failures)})"
-    return [head] + [f"  {json.dumps(f)}" for f in rep.failures]
-
-
-def _cmd_verify(args) -> int:
-    bounds = _bounds_from_args(args)
+def _cmd_verify(args) -> Output:
+    bounds = {k: getattr(args, k) for k in _BOUND_NAMES if getattr(args, k) is not None}
     if args.all:
         reports = verify_all(bounds or None)
     elif args.lemma:
         reports = [verify_lemma(args.lemma, bounds or None)]
     else:
         raise UsageError("verify needs --lemma ID or --all")
+    code = 0 if all(r.passed for r in reports) else 1
     if args.json:
         if len(reports) == 1:
-            _emit_json(reports[0].to_json())
-        else:
-            _emit_json({"reports": [r.to_json() for r in reports]})
-    else:
-        for rep in reports:
-            for line in _report_lines(rep):
-                _emit(line)
-    return 0 if all(r.passed for r in reports) else 1
+            return reports[0].to_json(), code
+        return {"reports": [r.to_json() for r in reports]}, code
+    lines = []
+    for rep in reports:
+        lines.append(
+            f"{rep.lemma_id}: {rep.status} (cases={rep.cases_checked}, failures={len(rep.failures)})"
+        )
+        lines.extend(f"  {json.dumps(f)}" for f in rep.failures)
+    return lines, code
 
 
-def _cmd_nsearch(args) -> int:
+def _cmd_nsearch(args) -> Output:
     res = minimal_uniform_exponent(parse_partition(args.a), args.l, args.nmax)
-    if args.json:
-        _emit_json(res.to_json())
-    else:
-        _emit(res.describe())
-    return 0
+    return (res.to_json() if args.json else [res.describe()]), 0
 
 
-def _cmd_cone(args) -> int:
+def _cmd_cone(args) -> Output:
     b = parse_partition(args.b)
     a = parse_partition(args.a)
     cert = cone_membership(b, a, args.l)
     if cert.member and not args.member_only:
         cert = cone_generator_decomposition(b, a, args.l)
     if args.json:
-        _emit_json(cert.to_json())
-        return 0
+        return cert.to_json(), 0
     if not cert.member:
-        _emit(f"not a member: {cert.reason}")
-        return 0
-    _emit(f"member n={cert.n}")
+        return [f"not a member: {cert.reason}"], 0
+    lines = [f"member n={cert.n}"]
     if cert.decomposition is not None:
         body = " + ".join(f"{j}*{q}" for j, q in cert.decomposition) or "0"
-        _emit(f"decomposition: {body}")
-    return 0
+        lines.append(f"decomposition: {body}")
+    return lines, 0
 
 
-def _cmd_transfer(args) -> int:
+def _cmd_transfer(args) -> Output:
     wit = transfer_witness(
         parse_partition(args.a), parse_partition(args.b), args.d, t_max=args.tmax
     )
     if args.json:
-        _emit_json(wit.to_json())
-    else:
-        sb, sa = wit.checked_support_sizes
-        _emit(f"t={wit.t} M={wit.m_exp} N={wit.n_exp} supports {sb} <= {sa}")
-    return 0
+        return wit.to_json(), 0
+    sb, sa = wit.checked_support_sizes
+    return [f"t={wit.t} M={wit.m_exp} N={wit.n_exp} supports {sb} <= {sa}"], 0
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args) -> Output:
     cache = PowerCache(args.path)
     if args.json:
-        _emit_json(
-            {
-                "path": args.path,
-                "version": MAGIC,
-                "valid": cache.valid_header,
-                "entries": len(cache),
-            }
-        )
-    else:
-        state = "valid" if cache.valid_header else "invalid (rewritten on next save)"
-        _emit(f"{MAGIC} cache {state}: entries={len(cache)}")
-    return 0
+        return {
+            "path": args.path,
+            "version": MAGIC,
+            "valid": cache.valid_header,
+            "entries": len(cache),
+        }, 0
+    state = "valid" if cache.valid_header else "invalid (rewritten on next save)"
+    return [f"{MAGIC} cache {state}: entries={len(cache)}"], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,11 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument("--lemma", choices=list(LEMMA_IDS), default=None)
     p.add_argument("--all", action="store_true", help="run every suite")
-    p.add_argument("--max-weight", dest="max_weight", type=_non_negative, default=None)
-    p.add_argument("--max-l", dest="max_l", type=_non_negative, default=None)
-    p.add_argument("--max-k", dest="max_k", type=_non_negative, default=None)
-    p.add_argument("--max-weight-p", dest="max_weight_p", type=_non_negative, default=None)
-    p.add_argument("--max-shift", dest="max_shift", type=_non_negative, default=None)
+    for name in _BOUND_NAMES:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_non_negative, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("nsearch", parents=[common], help="uniform exponent threshold over a window")
@@ -359,7 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out, code = args.func(args)
+        text = json.dumps(out) + "\n" if args.json else "".join(f"{line}\n" for line in out)
+        sys.stdout.write(text)
+        return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidPartition, NotComparable, NotWeaklyDecreasing
 
@@ -119,6 +119,14 @@ class Partition:
         n = max(len(self), len(other)) if l is None else l
         a, b = self.padded(n), other.padded(n)
         return Partition._trusted(_strip(tuple(x + y for x, y in zip(a, b))))
+
+    def shifted(self, vector: Sequence[int]) -> "Partition | None":
+        """Sum with an integer vector, self padded to the vector's length;
+        None when the sum is not a partition."""
+        s = tuple(x + y for x, y in zip(self.padded(len(vector)), vector))
+        if any(x < y for x, y in zip(s, s[1:])) or (s and s[-1] < 0):
+            return None
+        return Partition._trusted(_strip(s))
 
     def scaled(self, n: int) -> "Partition":
         """Entrywise multiple n*A."""
@@ -259,74 +267,7 @@ def partitions_up_to(n: int, max_len: int | None = None) -> Iterator[Partition]:
 
 
 def dominated_partitions(target: Partition, l: int) -> Iterator[Partition]:
-    """All B of length <= l with |B| = |target| and B below target in dominance.
-
-    Backtracking bounded by the target's prefix sums, descending lexicographic
-    order; the target itself comes first.
-    """
-    tp = target.padded(l)
-    total = sum(tp)
-    pref = []
-    s = 0
-    for v in tp:
-        s += v
-        pref.append(s)
-    acc: list[int] = []
-
-    def rec(i: int, placed: int, prev: int) -> Iterator[Partition]:
-        if i == l:
-            if placed == total:
-                yield Partition._trusted(_strip(tuple(acc)))
-            return
-        rem = total - placed
-        hi = min(prev, pref[i] - placed, rem)
-        lo = -(-rem // (l - i))
-        for v in range(hi, lo - 1, -1):
-            acc.append(v)
-            yield from rec(i + 1, placed + v, v)
-            acc.pop()
-
-    yield from rec(0, 0, total if total else 0)
-
-
-class SignedVector:
-    """Integer vector of a fixed explicit length; zeros are significant."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[int]):
-        self._entries = tuple(int(e) for e in entries)
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SignedVector) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(("SignedVector", self._entries))
-
-    def __repr__(self) -> str:
-        return f"SignedVector({list(self._entries)})"
-
-    def __add__(self, other: "SignedVector") -> "SignedVector":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return SignedVector(x + y for x, y in zip(self._entries, other._entries))
-
-    def add_partition(self, a: Partition) -> "SignedVector":
-        return SignedVector(x + y for x, y in zip(self._entries, a.padded(len(self))))
-
-    def to_partition(self) -> Partition | None:
-        """The same vector as a partition, or None when it is not one."""
-        es = self._entries
-        if any(x < y for x, y in zip(es, es[1:])) or (es and min(es) < 0):
-            return None
-        return Partition._trusted(_strip(es))
+    """All B of length <= l with |B| = |target| and B below target in dominance,
+    in descending lexicographic order; the target itself comes first."""
+    target.padded(l)  # raises InvalidPartition when the target is longer than l
+    yield from (b for b in partitions_of(target.weight, max_len=l) if dominates(target, b))

@@ -4,7 +4,8 @@ Plain text: a magic first line, then one JSON record per entry, keyed by
 (partition, exponent, cap). A file whose header does not match the current
 format version, or that holds a record whose terms cannot occur in that
 power (not a partition, longer than the cap, of the wrong weight, or with a
-multiplicity below 1), is treated as empty and rewritten on save. Saving
+multiplicity below 1), is treated as empty and rewritten on save. A path
+that exists but cannot be read, such as a directory, raises OSError. Saving
 writes a temporary file next to the cache and renames it over the old one.
 """
 
@@ -44,12 +45,8 @@ class PowerCache:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            self.valid_header = False
-            return
+        with open(self.path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         if not lines or lines[0] != MAGIC:
             self.valid_header = False
             return

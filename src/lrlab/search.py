@@ -15,9 +15,7 @@ from .product import tensor_power
 from .reports import ExponentSearch, TransferWitness
 
 
-def property_holds(
-    a: Partition, n: int, l: int, budget: int | None = None
-) -> tuple[bool, Partition | None]:
+def property_holds(a: Partition, n: int, l: int) -> tuple[bool, Partition | None]:
     """Does every B of length <= l with B dominated by n*a appear in a^n?
 
     Returns (True, None) or (False, first counterexample) with candidates
@@ -27,16 +25,14 @@ def property_holds(
         raise InvalidPartition(f"{a} does not fit length {l}")
     if n < 0:
         raise ValueError("negative exponent")
-    power = tensor_power(a, n, cap=l, budget=budget)
+    power = tensor_power(a, n, cap=l)
     for b in dominated_partitions(a.scaled(n), l):
         if power[b] == 0:
             return False, b
     return True, None
 
 
-def minimal_uniform_exponent(
-    a: Partition, l: int, n_max: int, budget: int | None = None
-) -> ExponentSearch:
+def minimal_uniform_exponent(a: Partition, l: int, n_max: int) -> ExponentSearch:
     """Smallest N with the property holding for every n in N..n_max.
 
     The property is not assumed monotone in n, so the whole window 1..n_max
@@ -47,7 +43,7 @@ def minimal_uniform_exponent(
         raise ValueError("n_max must be at least 1")
     failures: list[tuple[int, Partition]] = []
     for n in range(1, n_max + 1):
-        ok, bad = property_holds(a, n, l, budget=budget)
+        ok, bad = property_holds(a, n, l)
         if not ok:
             failures.append((n, bad))
     if not failures:
@@ -59,14 +55,14 @@ def minimal_uniform_exponent(
     return ExponentSearch(a, l, n_max, threshold, failures)
 
 
-def transfer_witness(
-    a: Partition, b: Partition, d: int, t_max: int = 8, budget: int | None = None
-) -> TransferWitness:
+def transfer_witness(a: Partition, b: Partition, d: int, t_max: int = 8) -> TransferWitness:
     """Smallest t with support(b^(tM)) inside support(a^(tN)) at length d.
 
     M = |a|/gcd, N = |b|/gcd, so both sides have equal weight t*|a||b|/gcd.
     Requires |b|*a to dominate |a|*b (both scaled to weight |a||b|).
     """
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
     if len(a) > d or len(b) > d:
         raise HypothesisFails(f"lengths of {a}, {b} must be at most {d}")
     wa, wb = a.weight, b.weight
@@ -81,8 +77,8 @@ def transfer_witness(
     m_exp = wa // g
     n_exp = wb // g
     for t in range(1, t_max + 1):
-        supp_b = tensor_power(b, t * m_exp, cap=d, budget=budget).support()
-        supp_a = tensor_power(a, t * n_exp, cap=d, budget=budget).support()
+        supp_b = tensor_power(b, t * m_exp, cap=d).support()
+        supp_a = tensor_power(a, t * n_exp, cap=d).support()
         if supp_b <= supp_a:
             return TransferWitness(a, b, d, m_exp, n_exp, t, (len(supp_b), len(supp_a)))
     raise NotFoundWithin(f"no support containment for t up to {t_max}")

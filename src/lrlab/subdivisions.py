@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange
-from .partitions import Partition, SignedVector, lcm_upto
+from .partitions import Partition, lcm_upto
 
 
 class Subdivision:
@@ -101,6 +101,8 @@ class Subdivision:
 
 def all_subdivisions(l: int) -> Iterator[Subdivision]:
     """The 2^(l-1) subdivisions of {1..l}, by breakpoint bitmask ascending."""
+    if l < 1:
+        raise ValueError("l must be at least 1")
     for mask in range(1 << (l - 1)):
         yield Subdivision.from_mask(l, mask)
 
@@ -116,18 +118,18 @@ def restrict(a: Partition, interval: Iterable[int], l: int) -> Partition:
     return Partition(padded[i - 1] for i in iv)
 
 
-def reversed_negation(a: Partition, l: int) -> SignedVector:
+def reversed_negation(a: Partition, l: int) -> tuple[int, ...]:
     """The vector (-a_l, ..., -a_1) for a read at length l."""
-    return SignedVector(-x for x in reversed(a.padded(l)))
+    return tuple(-x for x in reversed(a.padded(l)))
 
 
-def blockwise_reversed_negation(a: Partition, j: Subdivision) -> SignedVector:
+def blockwise_reversed_negation(a: Partition, j: Subdivision) -> tuple[int, ...]:
     """Reversed negation applied inside each interval of the subdivision."""
     padded = a.padded(j.length)
     out: list[int] = []
     for iv in j.intervals:
         out.extend(-padded[i - 1] for i in reversed(iv))
-    return SignedVector(out)
+    return tuple(out)
 
 
 def cone_generator(a: Partition, j: Subdivision) -> Partition:
@@ -147,29 +149,17 @@ def cone_generator(a: Partition, j: Subdivision) -> Partition:
     return Partition(out)
 
 
-def remove_cell_shift(j: Subdivision, m: int) -> SignedVector:
-    """-1 at the last position of block m, zero elsewhere."""
-    if not 1 <= m <= j.block_count:
-        raise IndexOutOfRange(f"block {m} outside 1..{j.block_count}")
-    out = [0] * j.length
-    out[j.end(m) - 1] = -1
-    return SignedVector(out)
-
-
-def add_cell_shift(j: Subdivision, n: int) -> SignedVector:
-    """+1 at the first position of block n, zero elsewhere."""
-    if not 1 <= n <= j.block_count:
-        raise IndexOutOfRange(f"block {n} outside 1..{j.block_count}")
-    out = [0] * j.length
-    out[j.start(n) - 1] = 1
-    return SignedVector(out)
-
-
 def perturbed_generator_raw(a: Partition, j: Subdivision, m: int, n: int) -> Partition | None:
     """Cone generator with one cell removed from the end of block m and one
     added at the start of block n; None when the result is not a partition."""
-    base = SignedVector(cone_generator(a, j).padded(j.length))
-    return (base + remove_cell_shift(j, m) + add_cell_shift(j, n)).to_partition()
+    gen = cone_generator(a, j)
+    for k in (m, n):
+        if not 1 <= k <= j.block_count:
+            raise IndexOutOfRange(f"block {k} outside 1..{j.block_count}")
+    move = [0] * j.length
+    move[j.end(m) - 1] -= 1
+    move[j.start(n) - 1] += 1
+    return gen.shifted(move)
 
 
 def perturbed_generator(

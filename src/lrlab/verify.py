@@ -1,6 +1,7 @@
 """Bounded machine verification of the product identities and containments.
 
-Each suite is one generator over (bounds, budget). It enumerates every
+Each suite is one generator that takes its bounds only; the term budget is
+the product layer's (LRLAB_BUDGET or its default). A suite enumerates every
 instance that satisfies its hypotheses inside the bounds, checks the claimed
 containment or equality there, with exact arithmetic, and yields the
 instance record together with a failure reason, or None when the claim
@@ -49,15 +50,6 @@ def _lp(p: Partition) -> list[int]:
     return list(p.parts)
 
 
-def _sum_at(l: int, *ps: Partition) -> Partition:
-    """Pointwise sum of partitions padded to a fixed length l."""
-    acc = [0] * l
-    for p in ps:
-        for i, v in enumerate(p.padded(l)):
-            acc[i] += v
-    return Partition(acc)
-
-
 def _distance_one_pairs(w: int, max_len: int | None = None):
     """(P, Q, row only in P, row only in Q) with P above Q, one cell apart."""
     ps = list(partitions_of(w, max_len=max_len))
@@ -75,7 +67,7 @@ def _distance_one_pairs(w: int, max_len: int | None = None):
 # ---------------------------------------------------------------- suites
 
 
-def _smaller(bounds, budget) -> Checked:
+def _smaller(bounds) -> Checked:
     pairs = []
     for weight in range(1, bounds["max_weight"] + 1):
         pairs.extend(_distance_one_pairs(weight))
@@ -86,59 +78,59 @@ def _smaller(bounds, budget) -> Checked:
             if not (ra_lo >= rc_hi and rc_lo >= ra_hi):
                 continue
             reason = None
-            if mul(a1, c1, budget=budget)[a2.plus(c2)] < 1:
+            if mul(a1, c1)[a2.plus(c2)] < 1:
                 reason = f"{a2}+{c2} missing from {a1}x{c1}"
             yield {"A1": _lp(a1), "A2": _lp(a2), "C1": _lp(c1), "C2": _lp(c2)}, reason
 
 
-def _chi(bounds, budget) -> Checked:
+def _chi(bounds) -> Checked:
     w = bounds["max_weight"]
     for l in range(1, bounds["max_l"] + 1):
         pool = list(partitions_up_to(w, max_len=l))
         for a in pool:
             for b in pool:
-                p = reversed_negation(b, l).add_partition(a).to_partition()
+                p = a.shifted(reversed_negation(b, l))
                 if p is None:
                     continue
                 reason = None
-                if mul(p, b, cap=l, budget=budget)[a] < 1:
+                if mul(p, b, cap=l)[a] < 1:
                     reason = f"{a} missing from {p}x{b} at length {l}"
                 yield {"l": l, "A": _lp(a), "B": _lp(b), "shifted": _lp(p)}, reason
 
 
-def _atensorl(bounds, budget) -> Checked:
+def _atensorl(bounds) -> Checked:
     w = bounds["max_weight"]
     for l in range(1, bounds["max_l"] + 1):
         for a in partitions_up_to(w, max_len=l):
             full = Partition([a.weight] * l)
-            shifted = reversed_negation(a, l).add_partition(full).to_partition()
+            shifted = full.shifted(reversed_negation(a, l))
             reason = None
-            if tensor_power(a, l, cap=l, budget=budget)[full] < 1:
+            if tensor_power(a, l, cap=l)[full] < 1:
                 reason = f"{full} missing from {a}^{l}"
             elif shifted is None:
                 reason = f"shifted target of {a} is not a partition"
-            elif tensor_power(a, l - 1, cap=l, budget=budget)[shifted] < 1:
+            elif tensor_power(a, l - 1, cap=l)[shifted] < 1:
                 reason = f"{shifted} missing from {a}^{l - 1}"
             yield {"l": l, "A": _lp(a)}, reason
 
 
-def _exchange(bounds, budget) -> Checked:
+def _exchange(bounds) -> Checked:
     for l in range(1, bounds["max_l"] + 1):
         for r, s, t, u in product(range(l + 1), repeat=4):
             if r + s + t + u > l or not (r + s and t + u and r + t and s + u):
                 continue
-            left = _sum_at(l, single_column(r), single_column(l - t))
-            right = _sum_at(l, single_column(s), single_column(l - u))
-            target = _sum_at(
-                l, single_column(l), single_column(r + s - 1), single_column(l - t - u + 1)
+            left = single_column(r).plus(single_column(l - t), l)
+            right = single_column(s).plus(single_column(l - u), l)
+            target = single_column(l).plus(single_column(r + s - 1), l).plus(
+                single_column(l - t - u + 1), l
             )
             reason = None
-            if mul(left, right, cap=l, budget=budget)[target] < 1:
+            if mul(left, right, cap=l)[target] < 1:
                 reason = f"{target} missing from {left}x{right} at length {l}"
             yield {"l": l, "r": r, "s": s, "t": t, "u": u}, reason
 
 
-def _g_in_tensor(bounds, budget) -> Checked:
+def _g_in_tensor(bounds) -> Checked:
     w = bounds["max_weight"]
     for l in range(1, bounds["max_l"] + 1):
         big_l = lcm_upto(l)
@@ -147,18 +139,18 @@ def _g_in_tensor(bounds, budget) -> Checked:
             j = Subdivision.from_mask(l, mask)
             for a in pool:
                 gen = cone_generator(a, j)
-                shifted = blockwise_reversed_negation(a, j).add_partition(gen).to_partition()
+                shifted = gen.shifted(blockwise_reversed_negation(a, j))
                 reason = None
-                if tensor_power(a, big_l, cap=l, budget=budget)[gen] < 1:
+                if tensor_power(a, big_l, cap=l)[gen] < 1:
                     reason = f"{gen} missing from {a}^{big_l}"
                 elif shifted is None:
                     reason = f"shifted generator of {a} with {j} is not a partition"
-                elif tensor_power(a, big_l - 1, cap=l, budget=budget)[shifted] < 1:
+                elif tensor_power(a, big_l - 1, cap=l)[shifted] < 1:
                     reason = f"{shifted} missing from {a}^{big_l - 1}"
                 yield {"l": l, "mask": mask, "A": _lp(a)}, reason
 
 
-def _h_in_tensor(bounds, budget) -> Checked:
+def _h_in_tensor(bounds) -> Checked:
     w = bounds["max_weight"]
     for l in range(1, bounds["max_l"] + 1):
         big_l = lcm_upto(l)
@@ -177,13 +169,13 @@ def _h_in_tensor(bounds, budget) -> Checked:
                             reason = (
                                 f"perturbation (m={m}, n={n}) of {a} with {j} is not a partition"
                             )
-                        elif tensor_power(a, big_l, cap=l, budget=budget)[h] < 1:
+                        elif tensor_power(a, big_l, cap=l)[h] < 1:
                             reason = f"{h} missing from {a}^{big_l}"
                         record = {"l": l, "mask": mask, "A": _lp(a), "beta": beta, "delta": delta}
                         yield record, reason
 
 
-def _h_mult_p(bounds, budget) -> Checked:
+def _h_mult_p(bounds) -> Checked:
     w, wp = bounds["max_weight"], bounds["max_weight_p"]
     for l in range(1, bounds["max_l"] + 1):
         move_pool = []
@@ -204,9 +196,9 @@ def _h_mult_p(bounds, budget) -> Checked:
                     for p_hi, p_lo, r_hi, r_lo in move_pool:
                         if not (j.block_of(r_hi) <= m and n <= j.block_of(r_lo)):
                             continue
-                        target = _sum_at(l, gen, p_lo)
+                        target = gen.plus(p_lo, l)
                         reason = None
-                        if mul(h, p_hi, cap=l, budget=budget)[target] < 1:
+                        if mul(h, p_hi, cap=l)[target] < 1:
                             reason = f"{target} missing from {h}x{_lp(p_hi)} at length {l}"
                         record = {
                             "l": l,
@@ -220,7 +212,7 @@ def _h_mult_p(bounds, budget) -> Checked:
                         yield record, reason
 
 
-def _a_mult_pp(bounds, budget) -> Checked:
+def _a_mult_pp(bounds) -> Checked:
     w, kmax = bounds["max_weight"], bounds["max_k"]
     for l in range(1, bounds["max_l"] + 1):
         pool = list(partitions_up_to(w, max_len=l))
@@ -233,15 +225,15 @@ def _a_mult_pp(bounds, budget) -> Checked:
                     k = diagram_distance(a, b)
                     if not 1 <= k <= kmax:
                         continue
-                    target = _sum_at(l, cone_generator(a, j).scaled(k), b)
+                    target = cone_generator(a, j).scaled(k).plus(b, l)
                     n = k * lcm_upto(l) + 1
                     reason = None
-                    if tensor_power(a, n, cap=l, budget=budget)[target] < 1:
+                    if tensor_power(a, n, cap=l)[target] < 1:
                         reason = f"{target} missing from {a}^{n}"
                     yield {"l": l, "mask": mask, "A": _lp(a), "B": _lp(b), "k": k}, reason
 
 
-def _mult_plus(bounds, budget) -> Checked:
+def _mult_plus(bounds) -> Checked:
     w = bounds["max_weight"]
     pool = list(partitions_up_to(w))
     for b1 in pool:
@@ -249,13 +241,13 @@ def _mult_plus(bounds, budget) -> Checked:
             w1 = b1.weight + c1.weight
             if w1 > w:
                 break
-            supp1 = [q for q, _ in mul(b1, c1, budget=budget).items()]
+            supp1 = [q for q, _ in mul(b1, c1).items()]
             for b2 in pool:
                 for c2 in pool:
                     if w1 + b2.weight + c2.weight > w:
                         break
-                    supp2 = [q for q, _ in mul(b2, c2, budget=budget).items()]
-                    big = mul(b1.plus(b2), c1.plus(c2), budget=budget)
+                    supp2 = [q for q, _ in mul(b2, c2).items()]
+                    big = mul(b1.plus(b2), c1.plus(c2))
                     for a1 in supp1:
                         for a2 in supp2:
                             reason = None
@@ -272,7 +264,7 @@ def _mult_plus(bounds, budget) -> Checked:
                             yield record, reason
 
 
-def _mult_inert(bounds, budget) -> Checked:
+def _mult_inert(bounds) -> Checked:
     w = bounds["max_weight"]
     pool = list(partitions_up_to(w))
     for a in pool:
@@ -282,15 +274,15 @@ def _mult_inert(bounds, budget) -> Checked:
             for c in pool:
                 if a.weight + b.weight + c.weight > w:
                     break
-                lhs = mul(a.plus(b), c, budget=budget)
-                rhs = mul(b, c, budget=budget).shift_add(a)
+                lhs = mul(a.plus(b), c)
+                rhs = mul(b, c).shift_add(a)
                 reason = None
                 if not rhs.leq(lhs):
                     reason = f"{a}+({b}x{c}) is not below ({a}+{b})x{c}"
                 yield {"A": _lp(a), "B": _lp(b), "C": _lp(c)}, reason
 
 
-def _mult_circ(bounds, budget) -> Checked:
+def _mult_circ(bounds) -> Checked:
     w = bounds["max_weight"]
     for l in range(1, bounds["max_l"] + 1):
         pool = list(partitions_up_to(w, max_len=l))
@@ -302,9 +294,9 @@ def _mult_circ(bounds, budget) -> Checked:
                         break
                     supports = []
                     for iv in j.intervals:
-                        block = mul(restrict(b, iv, l), restrict(c, iv, l), cap=len(iv), budget=budget)
+                        block = mul(restrict(b, iv, l), restrict(c, iv, l), cap=len(iv))
                         supports.append([q.parts for q, _ in block.items()])
-                    whole = mul(b, c, cap=l, budget=budget)
+                    whole = mul(b, c, cap=l)
                     for chosen in product(*supports):
                         flat = []
                         for iv, blk in zip(j.intervals, chosen):
@@ -347,7 +339,7 @@ def _chain_reason(a: Partition, b: Partition) -> str | None:
     return None
 
 
-def _pseq(bounds, budget) -> Checked:
+def _pseq(bounds) -> Checked:
     for weight in range(bounds["max_weight"] + 1):
         pool = list(partitions_of(weight))
         for a in pool:
@@ -356,24 +348,25 @@ def _pseq(bounds, budget) -> Checked:
                     yield {"A": _lp(a), "B": _lp(b)}, _chain_reason(a, b)
 
 
-def _chi_symmetry(bounds, budget) -> Checked:
+def _chi_symmetry(bounds) -> Checked:
     w, shift = bounds["max_weight"], bounds["max_shift"]
     for l in range(1, bounds["max_l"] + 1):
         det = single_column(l)
         # (A, m, chi(A) + m*det) for every A whose shifted image is a partition
         shifted = []
         for a in partitions_up_to(w, max_len=l):
+            neg = reversed_negation(a, l)
             for m in range(shift + 1):
-                pa = reversed_negation(a, l).add_partition(det.scaled(m)).to_partition()
+                pa = det.scaled(m).shifted(neg)
                 if pa is not None:
                     shifted.append((a, m, pa))
         for a, m, pa in shifted:
             for b, n, pb in shifted:
-                lhs = mul(pa, pb, cap=l, budget=budget)
+                lhs = mul(pa, pb, cap=l)
                 image: dict[Partition, int] = {}
                 reason = None
-                for c, mult in mul(a, b, cap=l, budget=budget).items():
-                    q = reversed_negation(c, l).add_partition(det.scaled(m + n)).to_partition()
+                for c, mult in mul(a, b, cap=l).items():
+                    q = det.scaled(m + n).shifted(reversed_negation(c, l))
                     if q is None:
                         reason = f"image of {c} under the symmetry is not a partition"
                         break
@@ -383,11 +376,11 @@ def _chi_symmetry(bounds, budget) -> Checked:
                 yield {"l": l, "A": _lp(a), "B": _lp(b), "m": m, "n": n}, reason
 
 
-def _highest_term(bounds, budget) -> Checked:
+def _highest_term(bounds) -> Checked:
     pool = list(partitions_up_to(bounds["max_weight"]))
     for a in pool:
         for b in pool:
-            prod = mul(a, b, budget=budget)
+            prod = mul(a, b)
             top = a.plus(b)
             reason = None
             if prod[top] != 1:
@@ -400,7 +393,7 @@ def _highest_term(bounds, budget) -> Checked:
             yield {"A": _lp(a), "B": _lp(b)}, reason
 
 
-_SUITES: dict[str, tuple[dict[str, int], Callable[[dict[str, int], int | None], Checked]]] = {
+_SUITES: dict[str, tuple[dict[str, int], Callable[[dict[str, int]], Checked]]] = {
     "SMALLER": ({"max_weight": 6}, _smaller),
     "CHI": ({"max_weight": 5, "max_l": 3}, _chi),
     "ATENSORL": ({"max_weight": 5, "max_l": 3}, _atensorl),
@@ -426,11 +419,7 @@ def default_bounds(lemma_id: str) -> dict[str, int]:
     return dict(_SUITES[lemma_id][0])
 
 
-def verify_lemma(
-    lemma_id: str,
-    bounds: dict[str, int] | None = None,
-    budget: int | None = None,
-) -> VerificationReport:
+def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> VerificationReport:
     """Run one suite and report sweep size, failures, and elapsed time."""
     if lemma_id not in _SUITES:
         raise UnknownLemma(f"no suite named {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
@@ -439,7 +428,7 @@ def verify_lemma(
     start = perf_counter()
     cases = 0
     failures = []
-    for record, reason in suite(eff, budget):
+    for record, reason in suite(eff):
         cases += 1
         if reason is not None:
             failures.append({**record, "reason": reason})
@@ -452,10 +441,7 @@ def verify_lemma(
     )
 
 
-def verify_all(
-    bounds: dict[str, int] | None = None,
-    budget: int | None = None,
-) -> list[VerificationReport]:
+def verify_all(bounds: dict[str, int] | None = None) -> list[VerificationReport]:
     """All suites in registry order; shared memo caches make this cheaper
     than the sum of its parts."""
-    return [verify_lemma(lid, bounds, budget) for lid in LEMMA_IDS]
+    return [verify_lemma(lid, bounds) for lid in LEMMA_IDS]

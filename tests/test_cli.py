@@ -322,6 +322,38 @@ class TestCache:
         assert os.listdir(tmp_path) == ["powers.lrpow"]
         assert os.listdir(folder) == []
 
+    @pytest.mark.parametrize(
+        "argv", [["cache"], ["power", "[2]", "2", "--cache"]], ids=["cache", "power"]
+    )
+    def test_directory_as_cache_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        import lrlab.cli as cli_mod
+
+        def no_power(*args, **kwargs):
+            raise AssertionError("the power was computed")
+
+        monkeypatch.setattr(cli_mod, "tensor_power", no_power)
+        assert main([*argv, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
+
+class TestLowerBounds:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gj", "[2,1]", "--l", "0"], "error: l must be at least 1"),
+            (["cone", "[]", "[]", "--l", "0"], "error: l must be at least 1"),
+            (["transfer", "[2]", "[1,1]", "--d", "2", "--tmax", "-1"], "error: t_max must be at least 1"),
+            (["transfer", "[2]", "[1,1]", "--d", "2", "--tmax", "0"], "error: t_max must be at least 1"),
+        ],
+        ids=["gj-l0", "cone-l0", "transfer-tmax-1", "transfer-tmax0"],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
 
 class TestNegativeOptions:
     @pytest.mark.parametrize(

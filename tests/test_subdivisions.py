@@ -5,7 +5,6 @@ import pytest
 from lrlab import (
     Partition,
     Subdivision,
-    add_cell_shift,
     all_subdivisions,
     blockwise_reversed_negation,
     cone_generator,
@@ -14,7 +13,6 @@ from lrlab import (
     partitions_up_to,
     perturbed_generator,
     perturbed_generator_raw,
-    remove_cell_shift,
     restrict,
     reversed_negation,
 )
@@ -71,14 +69,14 @@ class TestRestrict:
 
 class TestReversedNegation:
     def test_whole_interval(self):
-        assert reversed_negation(P(2, 1), 2).entries == (-1, -2)
+        assert reversed_negation(P(2, 1), 2) == (-1, -2)
 
     def test_per_block(self):
-        assert blockwise_reversed_negation(P(2, 1), Subdivision([1, 1])).entries == (-2, -1)
+        assert blockwise_reversed_negation(P(2, 1), Subdivision([1, 1])) == (-2, -1)
 
     def test_zero_case(self):
         for j in all_subdivisions(2):
-            assert blockwise_reversed_negation(Partition(), j).entries == (0, 0)
+            assert blockwise_reversed_negation(Partition(), j) == (0, 0)
 
 
 class TestConeGenerator:
@@ -118,10 +116,18 @@ class TestPerturbedGenerator:
         assert perturbed_generator_raw(a, j, 1, 1) == cone_generator(a, j)
 
     def test_shift_vectors(self):
+        # a cell leaves the last position of block m and enters the first
+        # position of block n: positions 1 and 3 lose, position 2 gains
         j = Subdivision([1, 2])
-        assert remove_cell_shift(j, 1).entries == (-1, 0, 0)
-        assert remove_cell_shift(j, 2).entries == (0, 0, -1)
-        assert add_cell_shift(j, 2).entries == (0, 1, 0)
+        a = P(2, 1)
+        assert cone_generator(a, j) == P(12, 3, 3)
+        assert perturbed_generator_raw(a, j, 1, 2) == P(11, 4, 3)
+        assert perturbed_generator_raw(a, j, 2, 2) == P(12, 4, 2)
+        assert perturbed_generator_raw(P(1, 1, 1), j, 1, 2) is None
+        with pytest.raises(IndexOutOfRange):
+            perturbed_generator_raw(a, j, 3, 1)
+        with pytest.raises(IndexOutOfRange):
+            perturbed_generator_raw(a, j, 1, 0)
 
     def test_bad_column_order(self):
         with pytest.raises(ValueError):
