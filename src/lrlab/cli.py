@@ -291,8 +291,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         out, code = args.func(args)
-        text = json.dumps(out) + "\n" if args.json else "".join(f"{line}\n" for line in out)
-        sys.stdout.write(text)
+        if args.json:
+            sys.stdout.write(json.dumps(out) + "\n")
+        else:
+            sys.stdout.writelines(f"{line}\n" for line in out)
         return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
