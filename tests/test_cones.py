@@ -158,6 +158,15 @@ class TestPinned:
         }
         assert got == self.PINS["theorem_bound"]
 
+    def test_theorem_bound_to_weight_6(self):
+        got = {
+            f"{a} l={l}": theorem_bound(a, l)
+            for l in range(1, 4)
+            for a in partitions_up_to(6, max_len=l)
+            if a
+        }
+        assert got == self.PINS["theorem_bound_weight_1_to_6"]
+
     def test_decompositions(self):
         got = {
             f"{b} {a} l={l}": cone_generator_decomposition(b, a, l).to_json()
