@@ -9,8 +9,8 @@ All arithmetic is exact (integers and Fractions).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import floor
+from itertools import combinations
+from math import lcm
 
 from .errors import InvalidPartition, NoDecomposition, UnsupportedLength
 from .partitions import Partition, diagram_distance, dominates, lcm_upto
@@ -38,16 +38,21 @@ def cone_membership(b: Partition, a: Partition, l: int) -> ConeCertificate:
     return ConeCertificate(member=True, n=n)
 
 
-def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> list[int] | None:
-    """Exact row reduction of m, in place, over its first ncols columns.
+def _solve_columns(
+    cols: list[tuple[int, ...]], target: tuple[int, ...]
+) -> list[Fraction] | None:
+    """Unique exact solution of sum(k_j * cols[j]) = target, or None.
 
-    Column c is pivoted on the first row, not already a pivot row, whose
-    entry there is non-zero; that row is scaled to 1 in column c and column
-    c is cleared from every other row. Returns the pivot row of each column,
-    or None when the columns are linearly dependent.
+    Gauss-Jordan elimination: column c is pivoted on the first row, not
+    already a pivot row, whose entry there is non-zero. None is returned both
+    for inconsistent systems and for linearly dependent column sets; by the
+    conic Caratheodory property, skipping dependent sets never loses a
+    decomposable target.
     """
+    s = len(cols)
+    m = [[Fraction(col[i]) for col in cols] + [Fraction(t)] for i, t in enumerate(target)]
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in range(s):
         piv = next((i for i in range(len(m)) if i not in pivots and m[i][c] != 0), None)
         if piv is None:
             return None
@@ -58,22 +63,7 @@ def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> list[int] | None:
                 f = row[c]
                 m[i] = [x - f * y for x, y in zip(row, m[piv])]
         pivots.append(piv)
-    return pivots
-
-
-def _solve_columns(
-    cols: list[tuple[int, ...]], target: tuple[int, ...]
-) -> list[Fraction] | None:
-    """Unique exact solution of sum(k_j * cols[j]) = target, or None.
-
-    None is returned both for inconsistent systems and for linearly dependent
-    column sets; by the conic Caratheodory property, skipping dependent sets
-    never loses a decomposable target.
-    """
-    s = len(cols)
-    m = [[Fraction(col[i]) for col in cols] + [Fraction(t)] for i, t in enumerate(target)]
-    pivots = _gauss_jordan(m, s)
-    if pivots is None or any(row[s] != 0 for i, row in enumerate(m) if i not in pivots):
+    if any(row[s] != 0 for i, row in enumerate(m) if i not in pivots):
         return None
     return [m[p][s] for p in pivots]
 
@@ -121,80 +111,41 @@ def _check_decomposition(
         raise NoDecomposition(f"residual is not zero for {list(target)}")
 
 
-def _hnf_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonal of a triangular column form of a nonsingular integer matrix.
-
-    Column operations only, so the columns keep spanning the same lattice;
-    the diagonal entries multiply to |det| and bound the coset boxes.
-    """
-    s = len(mat)
-    m = [list(row) for row in mat]
-
-    def swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul(dst, src, q):
-        for row in m:
-            row[dst] -= q * row[src]
-
-    for i in range(s):
-        while True:
-            nz = [j for j in range(i + 1, s) if m[i][j] != 0]
-            if m[i][i] == 0:
-                if not nz:
-                    raise ValueError("singular matrix")
-                swap(i, nz[0])
-                continue
-            if not nz:
-                break
-            j = nz[0]
-            if abs(m[i][i]) <= abs(m[i][j]):
-                addmul(j, i, m[i][j] // m[i][i])
-            else:
-                swap(i, j)
-        if m[i][i] < 0:
-            for row in m:
-                row[i] = -row[i]
-    return [m[i][i] for i in range(s)]
-
-
 def _fractional_points(cols: list[tuple[int, ...]], l: int) -> set[tuple[int, ...]]:
-    """Integer vectors inside the half-open box spanned by the columns.
+    """Integer vectors sum(lam_j * cols[j]) with every lam_j in [0, 1).
 
-    The columns must be linearly independent (callers filter). Every such
-    vector projects, on a nonsingular row set, to one coset of the column
-    lattice, so walking coset representatives enumerates them all.
+    Take a nonsingular square row set sq of the columns (none exists when the
+    columns are dependent, and then the set is empty). An integer vector
+    projects to an integer vector t on those rows, so lam = sq^-1 t mod 1.
+    These lam form the group generated, under addition mod 1, by the columns
+    of sq^-1; the closure walks that group in integer units of 1/den and
+    keeps the members whose combination is integral on every row.
     """
     s = len(cols)
-    # pivot rows of the columns give a square nonsingular row set
-    rows = _gauss_jordan([[Fraction(col[i]) for col in cols] for i in range(l)], s)
-    if rows is None:
+    units = [tuple(int(i == k) for i in range(s)) for k in range(s)]
+    for rows in combinations(range(l), s):
+        sq = [tuple(col[i] for i in rows) for col in cols]
+        inv = [_solve_columns(sq, e) for e in units]
+        if None not in inv:
+            break
+    else:
         return set()
-    sq = [[cols[j][i] for j in range(s)] for i in rows]
-    diag = _hnf_diagonal(sq)
-    # reducing [sq | I] leaves row c of the inverse in the pivot row of column c
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(s)]
-        for i, row in enumerate(sq)
-    ]
-    inv = [aug[p][s:] for p in _gauss_jordan(aug, s)]
+    den = lcm(*(x.denominator for col in inv for x in col))
+    gens = [tuple(int(x * den) % den for x in col) for col in inv]
+    group = {(0,) * s}
+    todo = list(group)
+    while todo:
+        v = todo.pop()
+        for g in gens:
+            w = tuple((x + y) % den for x, y in zip(v, g))
+            if w not in group:
+                group.add(w)
+                todo.append(w)
     out: set[tuple[int, ...]] = set()
-    for t in product(*[range(d) for d in diag]):
-        lam = []
-        for i in range(s):
-            v = sum(inv[i][j] * t[j] for j in range(s))
-            lam.append(v - floor(v))
-        point = []
-        ok = True
-        for i in range(l):
-            v = sum(lam[j] * cols[j][i] for j in range(s))
-            if v.denominator != 1:
-                ok = False
-                break
-            point.append(int(v))
-        if ok:
-            out.add(tuple(point))
+    for v in group:
+        point = [sum(v[j] * cols[j][i] for j in range(s)) for i in range(l)]
+        if all(x % den == 0 for x in point):
+            out.add(tuple(x // den for x in point))
     return out
 
 

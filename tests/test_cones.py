@@ -20,7 +20,7 @@ from lrlab import (
     partitions_up_to,
     theorem_bound,
 )
-from lrlab.cones import _hnf_diagonal, _solve_columns
+from lrlab.cones import _solve_columns
 from lrlab.errors import UnsupportedLength
 
 
@@ -105,14 +105,6 @@ class TestExactSolver:
 
     def test_dependent_columns_are_skipped(self):
         assert _solve_columns([(1, 1), (2, 2)], (3, 3)) is None
-
-    def test_hnf_diagonal_product_is_det(self):
-        assert sorted(_hnf_diagonal([[2, 4], [2, 0]])) == sorted([2, 4])
-        d = _hnf_diagonal([[8, 12, 9], [8, 6, 9], [8, 6, 6]])
-        prod = 1
-        for x in d:
-            prod *= x
-        assert prod == 144
 
 
 class TestBound:
