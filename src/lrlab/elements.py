@@ -3,6 +3,12 @@
 An element either lives in the full ring (cap None) or in the quotient where
 partitions longer than the cap are zero. Multiplicities are plain Python
 integers, so nothing overflows. Elements are immutable values.
+
+The terms are held as a dict from canonical part tuples to multiplicities,
+the form the product layer, its memos and the power cache produce, so a
+product result is wrapped without re-keying; the dict may be shared with a
+memo and is never mutated. Partition objects are built only when terms are
+listed (items, support, iteration).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ class LRElement:
         cap: int | None = None,
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Partition, int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for p, m in items:
             if not isinstance(p, Partition):
                 p = Partition(p)
@@ -33,15 +39,15 @@ class LRElement:
                 continue
             if cap is not None and len(p) > cap:
                 continue
-            acc[p] = acc.get(p, 0) + m
+            acc[p.parts] = acc.get(p.parts, 0) + m
         self._terms = acc
         self._cap = cap
 
     @classmethod
     def _from_raw(cls, raw: dict[tuple[int, ...], int], cap: int | None) -> "LRElement":
-        # internal: raw keys are canonical part tuples already under the cap
+        # internal: wraps raw, not a copy; its keys are canonical part tuples under the cap
         self = object.__new__(cls)
-        self._terms = {Partition._trusted(t): m for t, m in raw.items()}
+        self._terms = raw
         self._cap = cap
         return self
 
@@ -63,15 +69,16 @@ class LRElement:
 
     def items(self) -> list[tuple[Partition, int]]:
         """Terms sorted by parts, descending lexicographic."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].parts, reverse=True)
+        terms = self._terms
+        return [(Partition._trusted(t), terms[t]) for t in sorted(terms, reverse=True)]
 
     def support(self) -> frozenset[Partition]:
-        return frozenset(self._terms)
+        return frozenset(Partition._trusted(t) for t in self._terms)
 
     def __getitem__(self, p) -> int:
         if not isinstance(p, Partition):
             p = Partition(p)
-        return self._terms.get(p, 0)
+        return self._terms.get(p.parts, 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -94,34 +101,19 @@ class LRElement:
         cap = "" if self._cap is None else f", cap={self._cap}"
         return f"LRElement({{{inner}}}{cap})"
 
-    def _require_same_cap(self, other: "LRElement") -> None:
+    def __add__(self, other: "LRElement") -> "LRElement":
         if self._cap != other._cap:
             raise CapMismatch(f"caps {self._cap} and {other._cap} differ")
-
-    def __add__(self, other: "LRElement") -> "LRElement":
-        self._require_same_cap(other)
         acc = dict(self._terms)
-        for p, m in other._terms.items():
-            acc[p] = acc.get(p, 0) + m
-        out = object.__new__(LRElement)
-        out._terms = acc
-        out._cap = self._cap
-        return out
-
-    def scaled(self, c: int) -> "LRElement":
-        if c < 0:
-            raise ValueError("negative scalar")
-        if c == 0:
-            return LRElement.zero(self._cap)
-        out = object.__new__(LRElement)
-        out._terms = {p: c * m for p, m in self._terms.items()}
-        out._cap = self._cap
-        return out
+        for t, m in other._terms.items():
+            acc[t] = acc.get(t, 0) + m
+        return LRElement._from_raw(acc, self._cap)
 
     def shift_add(self, a: Partition) -> "LRElement":
         """Add the partition a pointwise to every term."""
         return LRElement(
-            ((p.plus(a), m) for p, m in self._terms.items()), cap=self._cap
+            ((Partition._trusted(t).plus(a), m) for t, m in self._terms.items()),
+            cap=self._cap,
         )
 
     def truncated(self, l: int) -> "LRElement":
@@ -131,10 +123,6 @@ class LRElement:
     def leq(self, other: "LRElement") -> bool:
         """Multiplicity-wise comparison (non-strict, cap-agnostic)."""
         return all(other._terms.get(p, 0) >= m for p, m in self._terms.items())
-
-    def contains(self, p: Partition) -> bool:
-        """Whether the basis partition p occurs with positive multiplicity."""
-        return p in self._terms
 
     def to_json(self) -> dict:
         return {

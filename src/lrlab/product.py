@@ -205,7 +205,7 @@ def mul_element(m: LRElement, b: Partition, budget: int | None = None) -> LRElem
     """Linear extension of mul to an element times a basis partition."""
     bud = term_budget(budget)
     exp, _ = _expansion(b.parts, m.cap, bud)
-    out, _ = _apply({p.parts: c for p, c in m.items()}, exp, m.cap, bud)
+    out, _ = _apply(m._terms, exp, m.cap, bud)
     return LRElement._from_raw(out, m.cap)
 
 
