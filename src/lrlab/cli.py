@@ -33,7 +33,7 @@ from .powercache import MAGIC, PowerCache
 from .product import mul, tensor_power
 from .search import minimal_uniform_exponent, transfer_witness
 from .subdivisions import Subdivision, all_subdivisions, perturbed_generator, perturbed_generator_raw, cone_generator
-from .verify import LEMMA_IDS, verify_all, verify_lemma
+from .verify import LEMMA_IDS, default_bounds, verify_all, verify_lemma
 
 _PARTITION_RE = re.compile(r"^\[(\d+(,\d+)*)?\]$")
 _BOUND_NAMES = ("max_weight", "max_l", "max_k", "max_weight_p", "max_shift")
@@ -66,6 +66,10 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+def _option(bound: str) -> str:
+    return "--" + bound.replace("_", "-")
 
 
 def _element_text(elem: LRElement) -> list[str]:
@@ -136,6 +140,13 @@ def _cmd_verify(args) -> Output:
     if args.all:
         reports = verify_all(bounds or None)
     elif args.lemma:
+        takes = default_bounds(args.lemma)
+        unused = [k for k in bounds if k not in takes]
+        if unused:
+            raise UsageError(
+                f"{args.lemma} does not take {', '.join(map(_option, unused))}; "
+                f"its bounds are {', '.join(map(_option, takes))}"
+            )
         reports = [verify_lemma(args.lemma, bounds or None)]
     else:
         raise UsageError("verify needs --lemma ID or --all")
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", choices=list(LEMMA_IDS), default=None)
     p.add_argument("--all", action="store_true", help="run every suite")
     for name in _BOUND_NAMES:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=_non_negative, default=None)
+        p.add_argument(_option(name), dest=name, type=_non_negative, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("nsearch", parents=[common], help="uniform exponent threshold over a window")

@@ -5,7 +5,8 @@ Plain text: a magic first line, then one JSON record per entry, keyed by
 format version, or that holds a record whose terms cannot occur in that
 power (not a partition, longer than the cap, of the wrong weight, or with a
 multiplicity below 1), is treated as empty and rewritten on save. A path
-that exists but cannot be read, such as a directory, raises OSError. Saving
+that exists but cannot be read, such as a directory, or a path whose
+directory does not exist, raises OSError when the cache is opened. Saving
 writes a temporary file next to the cache and renames it over the old one.
 """
 
@@ -44,6 +45,9 @@ class PowerCache:
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
+            folder = os.path.dirname(self.path) or "."
+            if not os.path.isdir(folder):
+                raise FileNotFoundError(f"cache {self.path}: directory {folder} does not exist")
             return
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -34,7 +34,7 @@ from .partitions import (
 from .product import mul, tensor_power
 from .reports import VerificationReport
 from .subdivisions import (
-    Subdivision,
+    all_subdivisions,
     blockwise_reversed_negation,
     cone_generator,
     perturbed_generator,
@@ -135,8 +135,7 @@ def _g_in_tensor(bounds) -> Checked:
     for l in range(1, bounds["max_l"] + 1):
         big_l = lcm_upto(l)
         pool = list(partitions_up_to(w, max_len=l))
-        for mask in range(1 << (l - 1)):
-            j = Subdivision.from_mask(l, mask)
+        for j in all_subdivisions(l):
             for a in pool:
                 gen = cone_generator(a, j)
                 shifted = gen.shifted(blockwise_reversed_negation(a, j))
@@ -147,7 +146,7 @@ def _g_in_tensor(bounds) -> Checked:
                     reason = f"shifted generator of {a} with {j} is not a partition"
                 elif tensor_power(a, big_l - 1, cap=l)[shifted] < 1:
                     reason = f"{shifted} missing from {a}^{big_l - 1}"
-                yield {"l": l, "mask": mask, "A": _lp(a)}, reason
+                yield {"l": l, "mask": j.mask, "A": _lp(a)}, reason
 
 
 def _h_in_tensor(bounds) -> Checked:
@@ -155,8 +154,7 @@ def _h_in_tensor(bounds) -> Checked:
     for l in range(1, bounds["max_l"] + 1):
         big_l = lcm_upto(l)
         pool = [a for a in partitions_up_to(w, max_len=l) if a]
-        for mask in range(1 << (l - 1)):
-            j = Subdivision.from_mask(l, mask)
+        for j in all_subdivisions(l):
             for a in pool:
                 conj = a.conjugate()
                 for beta in range(2, a.parts[0] + 1):
@@ -171,7 +169,7 @@ def _h_in_tensor(bounds) -> Checked:
                             )
                         elif tensor_power(a, big_l, cap=l)[h] < 1:
                             reason = f"{h} missing from {a}^{big_l}"
-                        record = {"l": l, "mask": mask, "A": _lp(a), "beta": beta, "delta": delta}
+                        record = {"l": l, "mask": j.mask, "A": _lp(a), "beta": beta, "delta": delta}
                         yield record, reason
 
 
@@ -182,8 +180,7 @@ def _h_mult_p(bounds) -> Checked:
         for weight in range(1, wp + 1):
             move_pool.extend(_distance_one_pairs(weight, max_len=l))
         pool = list(partitions_up_to(w, max_len=l))
-        for mask in range(1 << (l - 1)):
-            j = Subdivision.from_mask(l, mask)
+        for j in all_subdivisions(l):
             blocks = range(1, j.block_count + 1)
             for a in pool:
                 gen = cone_generator(a, j)
@@ -202,7 +199,7 @@ def _h_mult_p(bounds) -> Checked:
                             reason = f"{target} missing from {h}x{_lp(p_hi)} at length {l}"
                         record = {
                             "l": l,
-                            "mask": mask,
+                            "mask": j.mask,
                             "A": _lp(a),
                             "m": m,
                             "n": n,
@@ -216,8 +213,7 @@ def _a_mult_pp(bounds) -> Checked:
     w, kmax = bounds["max_weight"], bounds["max_k"]
     for l in range(1, bounds["max_l"] + 1):
         pool = list(partitions_up_to(w, max_len=l))
-        for mask in range(1 << (l - 1)):
-            j = Subdivision.from_mask(l, mask)
+        for j in all_subdivisions(l):
             for a in pool:
                 for b in partitions_of(a.weight, max_len=l):
                     if dominance_compare(a, b) is not Dominance.GREATER:
@@ -230,7 +226,7 @@ def _a_mult_pp(bounds) -> Checked:
                     reason = None
                     if tensor_power(a, n, cap=l)[target] < 1:
                         reason = f"{target} missing from {a}^{n}"
-                    yield {"l": l, "mask": mask, "A": _lp(a), "B": _lp(b), "k": k}, reason
+                    yield {"l": l, "mask": j.mask, "A": _lp(a), "B": _lp(b), "k": k}, reason
 
 
 def _mult_plus(bounds) -> Checked:
@@ -286,8 +282,7 @@ def _mult_circ(bounds) -> Checked:
     w = bounds["max_weight"]
     for l in range(1, bounds["max_l"] + 1):
         pool = list(partitions_up_to(w, max_len=l))
-        for mask in range(1 << (l - 1)):
-            j = Subdivision.from_mask(l, mask)
+        for j in all_subdivisions(l):
             for b in pool:
                 for c in pool:
                     if b.weight + c.weight > w:
@@ -308,7 +303,7 @@ def _mult_circ(bounds) -> Checked:
                             reason = f"{Partition(flat)} missing from {b}x{c} at length {l}"
                         record = {
                             "l": l,
-                            "mask": mask,
+                            "mask": j.mask,
                             "B": _lp(b),
                             "C": _lp(c),
                             "blocks": [list(q) for q in chosen],

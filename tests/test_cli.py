@@ -150,6 +150,15 @@ class TestVerifyCommand:
     def test_needs_a_target(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_bound_the_suite_does_not_take_is_usage_error(self, capsys):
+        argv = ["verify", "--lemma", "EXCHANGE", "--max-weight", "99", "--max-k", "7", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: EXCHANGE does not take --max-weight, --max-k; its bounds are --max-l\n"
+        )
+
     def test_fail_report_exits_one(self, capsys, monkeypatch):
         import lrlab.cli as cli_mod
 
@@ -335,6 +344,25 @@ class TestCache:
         assert main([*argv, str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv", [["cache"], ["power", "[2]", "2", "--cache"]], ids=["cache", "power"]
+    )
+    def test_missing_directory_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        import lrlab.cli as cli_mod
+
+        def no_power(*args, **kwargs):
+            raise AssertionError("the power was computed")
+
+        monkeypatch.setattr(cli_mod, "tensor_power", no_power)
+        path = tmp_path / "missing" / "x.lrpow"
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cache {path}: directory {tmp_path / 'missing'} does not exist\n"
+        )
         assert os.listdir(tmp_path) == []
 
 
