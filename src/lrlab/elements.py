@@ -117,8 +117,12 @@ class LRElement:
         )
 
     def truncated(self, l: int) -> "LRElement":
-        """Image in the quotient that kills partitions longer than l."""
-        return LRElement(self._terms, cap=l)
+        """Image in the quotient that kills partitions longer than l (at most the cap)."""
+        if l < 0:
+            raise ValueError(f"negative length {l}")
+        if self._cap is not None and l > self._cap:
+            raise CapMismatch(f"cannot raise cap {self._cap} to {l}")
+        return LRElement._from_raw({t: m for t, m in self._terms.items() if len(t) <= l}, l)
 
     def leq(self, other: "LRElement") -> bool:
         """Multiplicity-wise comparison (non-strict, cap-agnostic)."""

@@ -15,6 +15,11 @@ The test suite demands that both agree. Memo tables are filled with
 immutable values only, so concurrent readers are safe; a racing insert just
 recomputes the same value.
 
+The vertical-strip step has one memo table per (column height, cap), keyed
+by the part tuple, which _apply looks up inline. Every tuple the step builds
+is interned in _canon, so each partition exists once and memo values,
+products and powers hold references to it.
+
 Every expansion, product and power memo value is a pair (result, peak),
 where peak is the largest term count any step of its computation reached,
 sub-computations included. A hit whose peak exceeds the caller's budget
@@ -34,7 +39,8 @@ from .partitions import Partition, partitions_of
 DEFAULT_TERM_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LRLAB_BUDGET"
 
-_pieri_memo: dict = {}
+_pieri_memo: dict = {}  # (r, cap) -> {parts: strips}
+_canon: dict = {}  # intern table: the one tuple of each partition _pieri built
 _exp_memo: dict = {}
 _mul_memo: dict = {}
 _power_memo: dict = {}
@@ -52,6 +58,7 @@ def term_budget(explicit: int | None = None) -> int:
 
 def clear_caches() -> None:
     _pieri_memo.clear()
+    _canon.clear()
     _exp_memo.clear()
     _mul_memo.clear()
     _power_memo.clear()
@@ -70,28 +77,30 @@ def _check_nonnegative(terms: dict[tuple[int, ...], int], what: str) -> None:
 
 def _pieri(parts: tuple[int, ...], r: int, cap: int | None) -> tuple[tuple[int, ...], ...]:
     """Support of (partition x one column of height r); multiplicity-free."""
-    key = (parts, r, cap)
-    hit = _pieri_memo.get(key)
+    table = _pieri_memo.setdefault((r, cap), {})
+    hit = table.get(parts)
     if hit is not None:
         return hit
+    canon = _canon.setdefault
+    parts = canon(parts, parts)
     if r == 0:
         out = (parts,) if cap is None or len(parts) <= cap else ()
     elif not parts:
-        out = ((1,) * r,) if cap is None or r <= cap else ()
+        out = (canon((1,) * r, (1,) * r),) if cap is None or r <= cap else ()
     else:
         head, tail = parts[0], parts[1:]
         res = []
         for u in _pieri(tail, r - 1, cap):
             v = (head + 1,) + u
             if cap is None or len(v) <= cap:
-                res.append(v)
+                res.append(canon(v, v))
         for u in _pieri(tail, r, cap):
             if not u or head >= u[0]:
                 v = (head,) + u
                 if cap is None or len(v) <= cap:
-                    res.append(v)
+                    res.append(canon(v, v))
         out = tuple(res)
-    _pieri_memo[key] = out
+    table[parts] = out
     return out
 
 
@@ -117,10 +126,11 @@ def _apply(
             k += 1
         del chain[k + 1 :]
         for r in mu[k:]:
+            strips = _pieri_memo.setdefault((r, cap), {}).get
             nxt: dict[tuple[int, ...], int] = {}
             get = nxt.get
             for t, m in chain[-1].items():
-                for u in _pieri(t, r, cap):
+                for u in strips(t) or _pieri(t, r, cap):  # _pieri on a miss or an empty hit
                     nxt[u] = get(u, 0) + m
             _check_budget(len(nxt), budget)
             peak = max(peak, len(nxt))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlab import LRElement, Partition, single_column
+from lrlab import LRElement, Partition, mul, single_column
 from lrlab.errors import CapMismatch
 
 
@@ -52,6 +52,21 @@ class TestTruncate:
 
     def test_column_dies_below_its_length(self):
         assert LRElement.basis(single_column(3)).truncated(2) == LRElement.zero(cap=2)
+
+    def test_lowering_a_cap_matches_the_capped_product(self):
+        x = mul(P(2, 1), P(1), cap=2)
+        assert x.truncated(2) == x
+        assert x.truncated(1) == mul(P(2, 1), P(1), cap=1)
+
+    def test_cannot_raise_a_cap(self):
+        # the capped product lacks (2, 1, 1), so cap 3 would be a wrong label
+        with pytest.raises(CapMismatch):
+            mul(P(2, 1), P(1), cap=2).truncated(3)
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_negative_length(self, cap):
+        with pytest.raises(ValueError):
+            E({(1,): 1}, cap=cap).truncated(-1)
 
 
 class TestLeq:

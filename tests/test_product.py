@@ -30,6 +30,7 @@ from lrlab import (
     single_column,
     tensor_power,
 )
+from lrlab import product
 from lrlab.errors import BudgetExceeded
 
 
@@ -117,6 +118,58 @@ class TestColumnStep:
                         single_column(r - k).plus(single_column(s + k))
                     )
                 assert lhs == rhs, (r, s)
+
+
+def strips_oracle(parts, r, cap):
+    """Vertical strips of height r added to parts, by the strip step's recursion unmemoised."""
+    if r == 0:
+        return (parts,) if cap is None or len(parts) <= cap else ()
+    if not parts:
+        return ((1,) * r,) if cap is None or r <= cap else ()
+    head, tail = parts[0], parts[1:]
+    res = []
+    for u in strips_oracle(tail, r - 1, cap):
+        v = (head + 1,) + u
+        if cap is None or len(v) <= cap:
+            res.append(v)
+    for u in strips_oracle(tail, r, cap):
+        if not u or head >= u[0]:
+            v = (head,) + u
+            if cap is None or len(v) <= cap:
+                res.append(v)
+    return tuple(res)
+
+
+class TestStripStep:
+    """The memoised, interned strip step against an unmemoised copy of its recursion."""
+
+    def test_matches_unmemoised_recursion_in_order(self):
+        clear_caches()
+        for _ in ("cold", "warm"):
+            for cap in (None, *range(9)):
+                for r in range(7):
+                    for a in partitions_up_to(10):
+                        got = product._pieri(a.parts, r, cap)
+                        assert got == strips_oracle(a.parts, r, cap), (a, r, cap)
+
+    def test_equal_partitions_are_one_object(self):
+        clear_caches()
+        x = product._pieri((2, 1), 1, None)  # (3, 1), (2, 2), (2, 1, 1)
+        y = product._pieri((1, 1), 2, None)  # (2, 2), (2, 1, 1), (1, 1, 1, 1)
+        assert x[1] is y[0] and x[2] is y[1]
+        first = {}
+        for cap in (None, 3):
+            for r in range(4):
+                for a in partitions_up_to(6):
+                    for u in product._pieri(tuple(a.parts), r, cap):
+                        assert first.setdefault(u, u) is u
+
+    def test_memo_and_intern_counts_after_a_power(self):
+        # counts, not bytes: 61,953 strip-memo entries before interning too
+        clear_caches()
+        tensor_power(P(3, 1), 8)
+        assert sum(len(table) for table in product._pieri_memo.values()) == 61_953
+        assert len(product._canon) == 35_847
 
 
 class TestMul:
