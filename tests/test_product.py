@@ -161,11 +161,11 @@ class TestStripStep:
         for cap in (None, 3):
             for r in range(4):
                 for a in partitions_up_to(6):
-                    for u in product._pieri(tuple(a.parts), r, cap):
+                    for u in product._pieri(a.parts, r, cap):
                         assert first.setdefault(u, u) is u
 
     def test_memo_and_intern_counts_after_a_power(self):
-        # counts, not bytes: 61,953 strip-memo entries before interning too
+        # counts, not bytes; a memo keyed by (parts, r, cap) also holds 61,953 entries here
         clear_caches()
         tensor_power(P(3, 1), 8)
         assert sum(len(table) for table in product._pieri_memo.values()) == 61_953
