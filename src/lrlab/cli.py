@@ -4,7 +4,7 @@ Subcommands map one-to-one onto library operations and emit either plain
 text or the JSON schemas of the library types. Output is byte-deterministic
 for a fixed build and input; exit codes: 0 success or PASS, 1 a verification
 failed or a claimed witness does not exist, 2 usage error or unusable cache
-path, 3 term budget exceeded.
+path, 3 term budget or memory exhausted.
 """
 
 from __future__ import annotations
@@ -309,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (NoDecomposition, NotFoundWithin) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)

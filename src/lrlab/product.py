@@ -11,9 +11,9 @@ Two independent algorithms are kept side by side on purpose:
 * the oracle counts column-strict skew fillings whose reverse reading word is
   a lattice word, one coefficient at a time.
 
-The test suite demands that both agree. Memo tables are filled with
-immutable values only, so concurrent readers are safe; a racing insert just
-recomputes the same value.
+The test suite demands that both agree. Memo values are term dicts shared
+with LRElement and never mutated after they are stored; lrlab starts no
+threads, so no memo table has concurrent readers.
 
 The vertical-strip step has one memo table per (column height, cap), keyed
 by the part tuple, which _apply looks up inline. Every tuple the step builds

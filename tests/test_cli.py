@@ -74,6 +74,15 @@ class TestMulAndPower:
         assert code == 3
         assert b"budget" in err.lower()
 
+    def test_out_of_memory_exit_code(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("lrlab.cli.tensor_power", no_memory)
+        assert main(["power", "[2,1]", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: out of memory\n"
+
 
 class TestSmallCommands:
     def test_dominance(self, capsys):
@@ -286,6 +295,105 @@ class TestCache:
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["powers.lrpow"]
 
+    def test_stepwise_sweep_equals_one_shot(self, tmp_path, capsys):
+        step, one = tmp_path / "step.lrpow", tmp_path / "one.lrpow"
+        for n in range(1, 7):
+            clear_caches()
+            assert main(["power", "[4,2,1]", str(n), "--l", "4", "--cache", str(step)]) == 0
+        clear_caches()
+        assert main(["power", "[4,2,1]", "6", "--l", "4", "--cache", str(one)]) == 0
+        capsys.readouterr()
+        assert step.read_bytes() == one.read_bytes()
+        assert len(PowerCache(str(step))) == 7
+
+    def test_save_to_a_valid_file_appends_without_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "powers.lrpow"
+        cache = PowerCache(str(path))
+        cache.put((2,), 1, None, {(2,): 1})
+        cache.save()
+        before = path.read_bytes()
+
+        def no_rename(*args):
+            raise AssertionError("the cache file was replaced")
+
+        monkeypatch.setattr("lrlab.powercache.os.replace", no_rename)
+        cache = PowerCache(str(path))
+        cache.put((2,), 2, None, {(4,): 1, (3, 1): 1, (2, 2): 1})
+        cache.save()
+        after = path.read_bytes()
+        assert after.startswith(before) and len(after) > len(before)
+        assert len(PowerCache(str(path))) == 2
+        assert os.listdir(tmp_path) == ["powers.lrpow"]
+
+    @pytest.mark.parametrize("fault", ["raise", "short"])
+    def test_failed_append_keeps_old_file(self, tmp_path, monkeypatch, fault):
+        path = tmp_path / "powers.lrpow"
+        cache = PowerCache(str(path))
+        cache.put((2,), 1, None, {(2,): 1})
+        cache.save()
+        before = path.read_bytes()
+        cache.put((2,), 2, None, {(4,): 1, (3, 1): 1, (2, 2): 1})
+        real_write = os.write
+
+        def failing_write(fd, data):
+            if fault == "raise":
+                raise OSError("disk full")
+            return real_write(fd, data[: len(data) // 2])  # a partial write
+
+        monkeypatch.setattr("lrlab.powercache.os.write", failing_write)
+        with pytest.raises(OSError, match="disk full" if fault == "raise" else "short write"):
+            cache.save()
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["powers.lrpow"]
+
+    def test_torn_last_record_makes_the_file_stale(self, tmp_path, capsys):
+        path = tmp_path / "powers.lrpow"
+        argv = ["power", "[2,1]", "3", "--l", "3", "--cache", str(path)]
+        clear_caches()
+        code, fresh = run_cli(capsys, *argv)
+        assert code == 0
+        whole = path.read_bytes()
+        path.write_bytes(whole[: whole.rindex(b"[")])  # cut the last record mid-line
+        cache = PowerCache(str(path))
+        assert not cache.valid_header and len(cache) == 0
+        clear_caches()
+        assert run_cli(capsys, *argv) == (0, fresh)
+        assert path.read_bytes() == whole
+
+    def test_file_without_final_newline_is_rewritten(self, tmp_path, capsys):
+        path, one = tmp_path / "powers.lrpow", tmp_path / "one.lrpow"
+        clear_caches()
+        run_cli(capsys, "power", "[2,1]", "2", "--l", "3", "--cache", str(path))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert len(PowerCache(str(path))) == 3
+        for target in (path, one):
+            clear_caches()
+            run_cli(capsys, "power", "[2,1]", "3", "--l", "3", "--cache", str(target))
+        assert path.read_bytes() == one.read_bytes()
+
+    def test_records_stay_in_first_save_order(self, tmp_path):
+        path = tmp_path / "powers.lrpow"
+        for parts in ((2, 1), (1,)):
+            cache = PowerCache(str(path))
+            cache.put(parts, 1, None, {parts: 1})
+            cache.save()
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["partition"] for line in lines[1:]] == [[2, 1], [1]]
+        cache = PowerCache(str(path))
+        assert cache.valid_header and len(cache) == 2
+        assert cache.get((2, 1), 1, None) == {(2, 1): 1}
+        assert cache.get((1,), 1, None) == {(1,): 1}
+
+    @pytest.mark.parametrize(
+        "terms, valid", [([[[2], "1"]], True), ([[[2], "2"]], False)], ids=["same", "different"]
+    )
+    def test_repeated_key(self, tmp_path, terms, valid):
+        path = tmp_path / "powers.lrpow"
+        records = [{"partition": [2], "n": 1, "cap": None, "terms": t} for t in ([[[2], "1"]], terms)]
+        path.write_text(MAGIC + "\n" + "".join(json.dumps(rec) + "\n" for rec in records))
+        cache = PowerCache(str(path))
+        assert cache.valid_header == valid and len(cache) == (1 if valid else 0)
 
     @pytest.mark.parametrize(
         "term",
