@@ -5,6 +5,10 @@ text or the JSON schemas of the library types. Output is byte-deterministic
 for a fixed build and input; exit codes: 0 success or PASS, 1 a verification
 failed or a claimed witness does not exist, 2 usage error or unusable cache
 path, 3 term budget or memory exhausted.
+
+Each subcommand imports only the layers it runs, when it runs: a cold
+`dominance` or `interpolate` loads `errors` and `partitions` alone, and
+`power` adds `product` and `powercache` but not `verify` or `cones`.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import json
 import re
 import sys
 
-from .cones import cone_generator_decomposition, cone_membership
-from .elements import LRElement
 from .errors import (
     BudgetExceeded,
     HypothesisFails,
@@ -29,14 +31,27 @@ from .errors import (
     UnsupportedLength,
 )
 from .partitions import Partition, dominance_compare, interpolating_sequence
-from .powercache import MAGIC, PowerCache
-from .product import mul, tensor_power
-from .search import minimal_uniform_exponent, transfer_witness
-from .subdivisions import Subdivision, all_subdivisions, perturbed_generator, perturbed_generator_raw, cone_generator
-from .verify import LEMMA_IDS, default_bounds, verify_all, verify_lemma
 
 _PARTITION_RE = re.compile(r"^\[(\d+(,\d+)*)?\]$")
 _BOUND_NAMES = ("max_weight", "max_l", "max_k", "max_weight_p", "max_shift")
+# verify.LEMMA_IDS in its order, spelled out so that building the parser does not
+# import verify; tests/test_verify.py keeps the two equal
+LEMMA_IDS = (
+    "SMALLER",
+    "CHI",
+    "ATENSORL",
+    "EXCHANGE",
+    "G_IN_TENSOR",
+    "H_IN_TENSOR",
+    "H_MULT_P",
+    "A_MULT_PP",
+    "MULT_PLUS",
+    "MULT_INERT",
+    "MULT_CIRC",
+    "PSEQ",
+    "CHI_SYMMETRY",
+    "HIGHEST_TERM",
+)
 
 # a command's output (a JSON object under --json, else its text lines) and exit code
 Output = tuple[dict | list[str], int]
@@ -72,17 +87,22 @@ def _option(bound: str) -> str:
     return "--" + bound.replace("_", "-")
 
 
-def _element_text(elem: LRElement) -> list[str]:
+def _element_text(elem) -> list[str]:
     return [f"{p} {m}" for p, m in elem.items()] or ["empty"]
 
 
 def _cmd_mul(args) -> Output:
+    from .product import mul
+
     prod = mul(parse_partition(args.a), parse_partition(args.b), cap=args.l)
     return (prod.to_json() if args.json else _element_text(prod)), 0
 
 
 def _cmd_power(args) -> Output:
-    cache = PowerCache(args.cache) if args.cache else None
+    from .powercache import PowerCache
+    from .product import tensor_power
+
+    cache = None if args.cache is None else PowerCache(args.cache)
     power = tensor_power(parse_partition(args.a), args.n, cap=args.l, cache=cache)
     if cache is not None:
         cache.save()
@@ -102,6 +122,8 @@ def _cmd_interpolate(args) -> Output:
 
 
 def _cmd_gj(args) -> Output:
+    from .subdivisions import Subdivision, all_subdivisions, cone_generator
+
     a = parse_partition(args.a)
     l = args.l
     if args.mask is not None:
@@ -119,6 +141,8 @@ def _cmd_gj(args) -> Output:
 
 
 def _cmd_hj(args) -> Output:
+    from .subdivisions import Subdivision, perturbed_generator, perturbed_generator_raw
+
     a = parse_partition(args.a)
     j = Subdivision.from_mask(args.l, args.mask)
     if args.m is not None or args.n is not None:
@@ -136,6 +160,8 @@ def _cmd_hj(args) -> Output:
 
 
 def _cmd_verify(args) -> Output:
+    from .verify import default_bounds, verify_all, verify_lemma
+
     bounds = {k: getattr(args, k) for k in _BOUND_NAMES if getattr(args, k) is not None}
     if args.all:
         reports = verify_all(bounds or None)
@@ -165,11 +191,15 @@ def _cmd_verify(args) -> Output:
 
 
 def _cmd_nsearch(args) -> Output:
+    from .search import minimal_uniform_exponent
+
     res = minimal_uniform_exponent(parse_partition(args.a), args.l, args.nmax)
     return (res.to_json() if args.json else [res.describe()]), 0
 
 
 def _cmd_cone(args) -> Output:
+    from .cones import cone_generator_decomposition, cone_membership
+
     b = parse_partition(args.b)
     a = parse_partition(args.a)
     cert = cone_membership(b, a, args.l)
@@ -187,6 +217,8 @@ def _cmd_cone(args) -> Output:
 
 
 def _cmd_transfer(args) -> Output:
+    from .search import transfer_witness
+
     wit = transfer_witness(
         parse_partition(args.a), parse_partition(args.b), args.d, t_max=args.tmax
     )
@@ -197,6 +229,8 @@ def _cmd_transfer(args) -> Output:
 
 
 def _cmd_cache(args) -> Output:
+    from .powercache import MAGIC, PowerCache
+
     cache = PowerCache(args.path)
     if args.json:
         return {

@@ -5,11 +5,11 @@ Plain text: a magic first line, then one JSON record per entry, keyed by
 file with another header, an unparsable line, two differing records of one
 key, or a record whose terms cannot occur in that power (not a partition,
 longer than the cap, of the wrong weight, or of multiplicity below 1) is
-treated as empty. Opening an existing path that cannot be read, such as a
-directory, or one in a missing directory raises OSError. A save appends the
-records the file lacks in one write, cut back if it fails; a missing or
-stale file, or one that does not end in a newline, is rewritten through a
-temporary file and a rename.
+treated as empty. Opening an empty path, an existing path that cannot be
+read (such as a directory), or one in a missing directory raises OSError. A
+save appends the records the file lacks in one write, cut back if it fails;
+a missing or stale file, or one that does not end in a newline, is rewritten
+through a temporary file and a rename.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class PowerCache:
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
+            if not self.path:
+                raise FileNotFoundError("cache path '' is empty")
             folder = os.path.dirname(self.path) or "."
             if not os.path.isdir(folder):
                 raise FileNotFoundError(f"cache {self.path}: directory {folder} does not exist")

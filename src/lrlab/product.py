@@ -342,18 +342,20 @@ def mul_tableau(a: Partition, b: Partition, cap: int | None = None) -> LRElement
 def gl_dimension(p: Partition, d: int) -> int:
     """Dimension of the Schur functor of shape p on a d-dimensional space.
 
-    Hook content formula; zero when p has more rows than d.
+    Weyl's formula, the product over i < j <= d of (p_i - p_j + j - i)/(j - i),
+    O(d^2) whatever the weight (Fulton-Harris, Lecture 6); zero when p has
+    more rows than d.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
     if len(p) > d:
         return 0
-    conj = p.conjugate()
+    parts = p.parts + (0,) * (d - len(p))
     num = den = 1
-    for i, row in enumerate(p.parts, 1):
-        for j in range(1, row + 1):
-            num *= d + j - i
-            den *= (row - j) + (conj[j - 1] - i) + 1
+    for j in range(1, d):
+        for i in range(j):
+            num *= parts[i] - parts[j] + j - i
+            den *= j - i
     if num % den:
-        raise InternalCheckError(f"hook content not integral for {p}, d={d}")
+        raise InternalCheckError(f"Weyl dimension not integral for {p}, d={d}")
     return num // den

@@ -78,7 +78,7 @@ class TestMulAndPower:
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("lrlab.cli.tensor_power", no_memory)
+        monkeypatch.setattr("lrlab.product.tensor_power", no_memory)
         assert main(["power", "[2,1]", "4"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: out of memory\n"
@@ -159,6 +159,16 @@ class TestVerifyCommand:
     def test_needs_a_target(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_help_lists_the_suites_in_registry_order(self, capsys):
+        from lrlab.verify import LEMMA_IDS
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert len(LEMMA_IDS) == 14
+        assert f"--lemma {{{','.join(LEMMA_IDS)}}}" in out
+
     def test_bound_the_suite_does_not_take_is_usage_error(self, capsys):
         argv = ["verify", "--lemma", "EXCHANGE", "--max-weight", "99", "--max-k", "7", "--json"]
         assert main(argv) == 2
@@ -169,13 +179,11 @@ class TestVerifyCommand:
         )
 
     def test_fail_report_exits_one(self, capsys, monkeypatch):
-        import lrlab.cli as cli_mod
-
         broken = VerificationReport(
             lemma_id="CHI", bounds={}, cases_checked=1,
             failures=[{"reason": "injected"}],
         )
-        monkeypatch.setattr(cli_mod, "verify_lemma", lambda *a, **k: broken)
+        monkeypatch.setattr("lrlab.verify.verify_lemma", lambda *a, **k: broken)
         code, out = run_cli(capsys, "verify", "--lemma", "CHI")
         assert code == 1
         assert out.startswith("CHI: FAIL")
@@ -443,12 +451,10 @@ class TestCache:
         "argv", [["cache"], ["power", "[2]", "2", "--cache"]], ids=["cache", "power"]
     )
     def test_directory_as_cache_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
-        import lrlab.cli as cli_mod
-
         def no_power(*args, **kwargs):
             raise AssertionError("the power was computed")
 
-        monkeypatch.setattr(cli_mod, "tensor_power", no_power)
+        monkeypatch.setattr("lrlab.product.tensor_power", no_power)
         assert main([*argv, str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
@@ -458,12 +464,10 @@ class TestCache:
         "argv", [["cache"], ["power", "[2]", "2", "--cache"]], ids=["cache", "power"]
     )
     def test_missing_directory_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
-        import lrlab.cli as cli_mod
-
         def no_power(*args, **kwargs):
             raise AssertionError("the power was computed")
 
-        monkeypatch.setattr(cli_mod, "tensor_power", no_power)
+        monkeypatch.setattr("lrlab.product.tensor_power", no_power)
         path = tmp_path / "missing" / "x.lrpow"
         assert main([*argv, str(path)]) == 2
         captured = capsys.readouterr()
@@ -471,6 +475,20 @@ class TestCache:
         assert captured.err == (
             f"error: cache {path}: directory {tmp_path / 'missing'} does not exist\n"
         )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv", [["cache", ""], ["power", "[2,1]", "2", "--cache", ""]], ids=["cache", "power"]
+    )
+    def test_empty_cache_path_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_power(*args, **kwargs):
+            raise AssertionError("the power was computed")
+
+        monkeypatch.setattr("lrlab.product.tensor_power", no_power)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: cache path '' is empty\n"
         assert os.listdir(tmp_path) == []
 
 

@@ -2,8 +2,8 @@
 
 The brute-force fillers in this file are deliberately independent of the
 library code paths: dimensions are counted as explicit semistandard
-fillings, standard-tableau counts come from the hook length formula, and the
-two product algorithms (signed column expansion and skew-filling count) must
+fillings and by the hook content formula, standard-tableau counts come from
+the hook length formula, and the two product algorithms (signed column expansion and skew-filling count) must
 agree term by term.
 """
 
@@ -77,11 +77,31 @@ def hook_length_syt(shape: Partition) -> int:
     return factorial(shape.weight) // denom
 
 
+def hook_content_dimension(shape: Partition, d: int) -> int:
+    """prod (d + content) / hook over the cells; zero beyond d rows."""
+    conj = shape.conjugate()
+    num = den = 1
+    for i, row in enumerate(shape.parts, 1):
+        for j in range(1, row + 1):
+            num *= d + j - i
+            den *= (row - j) + (conj[j - 1] - i) + 1
+    return num // den
+
+
 class TestDimensionOracle:
     def test_hook_content_matches_ssyt_count(self):
         for d in range(1, 5):
             for p in partitions_up_to(5):
                 assert gl_dimension(p, d) == count_ssyt(p, d), (p, d)
+
+    def test_weyl_matches_hook_content(self):
+        for d in range(1, 7):
+            for p in partitions_up_to(10):
+                assert gl_dimension(p, d) == hook_content_dimension(p, d), (p, d)
+
+    def test_rank_must_be_positive(self):
+        with pytest.raises(ValueError):
+            gl_dimension(P(1), 0)
 
     def test_spec_values(self):
         assert gl_dimension(P(1, 1), 3) == 3
