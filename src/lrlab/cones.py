@@ -102,8 +102,11 @@ def cone_generator_decomposition(b: Partition, a: Partition, l: int) -> ConeCert
 def _check_decomposition(
     deco: list[tuple[Subdivision, Fraction]], a: Partition, target: tuple[int, ...], l: int
 ) -> None:
+    """Raise NoDecomposition unless deco has non-negative coefficients and sums to target."""
     acc = [Fraction(0)] * l
     for j, q in deco:
+        if q < 0:
+            raise NoDecomposition(f"coefficient {q} of {j} is negative for {list(target)}")
         g = cone_generator(a, j).padded(l)
         for i in range(l):
             acc[i] += q * g[i]

@@ -7,6 +7,7 @@ all of this is safe to share between threads.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import zip_longest
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -167,18 +168,18 @@ def lcm_upto(l: int) -> int:
 
 def dominance_compare(a: Partition, b: Partition) -> Dominance:
     """Prefix-sum comparison of equal-weight partitions."""
-    if a.weight != b.weight:
-        return Dominance.DIFFERENT_WEIGHT
-    if a.parts == b.parts:
+    pa, pb = a.parts, b.parts
+    if pa == pb:
         return Dominance.EQUAL
+    if sum(pa) != sum(pb):
+        return Dominance.DIFFERENT_WEIGHT
     ge = le = True
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i]
-        sb += b[i]
-        if sa < sb:
+    lead = 0  # prefix sum of a minus prefix sum of b
+    for x, y in zip_longest(pa, pb, fillvalue=0):
+        lead += x - y
+        if lead < 0:
             ge = False
-        elif sb < sa:
+        elif lead > 0:
             le = False
     if ge:
         return Dominance.GREATER
@@ -222,9 +223,11 @@ def interpolating_sequence(a: Partition, b: Partition) -> list[Partition]:
     n = max(len(a), len(b))
     cur = list(a.padded(n))
     tgt = b.padded(n)
+    alpha = 0  # first row too short; rows above it only lose cells down to their target
     while tuple(cur) != tgt:
-        alpha = next(i for i in range(n) if cur[i] < tgt[i])
-        beta = max(i for i in range(alpha) if cur[i] > tgt[i])
+        while cur[alpha] >= tgt[alpha]:
+            alpha += 1
+        beta = next(i for i in range(alpha - 1, -1, -1) if cur[i] > tgt[i])
         cur[beta] -= 1
         cur[alpha] += 1
         out.append(Partition._trusted(_strip(tuple(cur))))

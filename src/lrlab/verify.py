@@ -21,7 +21,6 @@ from .errors import UnknownLemma
 from .partitions import (
     Dominance,
     Partition,
-    diagram_difference,
     diagram_distance,
     dominance_compare,
     dominates,
@@ -53,14 +52,14 @@ def _lp(p: Partition) -> list[int]:
 def _distance_one_pairs(w: int, max_len: int | None = None):
     """(P, Q, row only in P, row only in Q) with P above Q, one cell apart."""
     ps = list(partitions_of(w, max_len=max_len))
+    rows = [p.padded(w) for p in ps]
     out = []
-    for hi in ps:
-        for lo in ps:
-            if hi == lo or dominance_compare(hi, lo) is not Dominance.GREATER:
-                continue
-            only_hi, only_lo = diagram_difference(hi, lo)
-            if len(only_hi) == 1:
-                out.append((hi, lo, next(iter(only_hi)).row, next(iter(only_lo)).row))
+    for hi, x in zip(ps, rows):
+        for lo, y in zip(ps, rows):
+            moved = [r for r in range(w) if x[r] != y[r]]
+            # one cell apart with P above Q: two rows differ, the upper one longer in P
+            if len(moved) == 2 and x[moved[0]] == y[moved[0]] + 1:
+                out.append((hi, lo, moved[0] + 1, moved[1] + 1))
     return out
 
 
@@ -313,24 +312,37 @@ def _mult_circ(bounds) -> Checked:
 
 def _chain_reason(a: Partition, b: Partition) -> str | None:
     """Why interpolating_sequence(a, b) is not a one-cell chain inside the
-    symmetric difference of the two diagrams, or None."""
+    symmetric difference of the two diagrams, or None.
+
+    Partitions are padded to one length, so distances are sums of positive
+    row differences. Where step i is longer than step j in row r, its extra
+    cells lie in a's part of the difference iff b_r <= s_j[r] and
+    s_i[r] <= a_r; the mirror holds where step j is longer. That last check
+    cannot fail once the others pass (distance + 1 one-cell steps from a to
+    b move every row monotonically), and is kept as a cheap guard.
+    """
     seq = interpolating_sequence(a, b)
-    only_a, only_b = diagram_difference(a, b)
-    if len(seq) != len(only_a) + 1:
-        return f"length {len(seq)} differs from distance {len(only_a)} + 1"
+    n = max(len(p) for p in (a, b, *seq))
+    pa, pb = a.padded(n), b.padded(n)
+    rows = [p.padded(n) for p in seq]
+    dist = sum(x - y for x, y in zip(pa, pb) if x > y)
+    if len(seq) != dist + 1:
+        return f"length {len(seq)} differs from distance {dist} + 1"
     if seq[0] != a or seq[-1] != b:
         return "endpoints wrong"
-    for x, y in zip(seq, seq[1:]):
-        dx, dy = diagram_difference(x, y)
-        if len(dx) != 1 or len(dy) != 1:
+    for x, y, px, py in zip(seq, seq[1:], rows, rows[1:]):
+        down = sum(p - q for p, q in zip(px, py) if p > q)
+        up = sum(q - p for p, q in zip(px, py) if q > p)
+        if down != 1 or up != 1:
             return f"adjacent distance is not 1 between {x} and {y}"
-        if dominance_compare(x, y) is not Dominance.GREATER:
+        # one cell moved, so x dominates y iff the cell left the upper row
+        if px < py:
             return f"{x} does not strictly dominate {y}"
-    for i in range(len(seq)):
-        for jdx in range(i + 1, len(seq)):
-            di, dj = diagram_difference(seq[i], seq[jdx])
-            if not di <= only_a or not dj <= only_b:
-                return f"cells of step {i}->{jdx} leave the symmetric difference"
+    for i, pi in enumerate(rows):
+        for jdx in range(i + 1, len(rows)):
+            for p, q, ar, br in zip(pi, rows[jdx], pa, pb):
+                if (p > q and (q < br or p > ar)) or (q > p and (p < ar or q > br)):
+                    return f"cells of step {i}->{jdx} leave the symmetric difference"
     return None
 
 

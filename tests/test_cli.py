@@ -333,6 +333,19 @@ class TestCache:
         assert len(PowerCache(str(path))) == 2
         assert os.listdir(tmp_path) == ["powers.lrpow"]
 
+    def test_second_save_writes_nothing(self, tmp_path):
+        path = tmp_path / "powers.lrpow"
+        cache = PowerCache(str(path))
+        cache.put((2,), 1, None, {(2,): 1})
+        cache.save()
+        cache.put((2,), 2, None, {(4,): 1, (3, 1): 1, (2, 2): 1})
+        cache.save()
+        saved = path.read_bytes()
+        cache.put((2,), 2, None, {(4,): 1, (3, 1): 1, (2, 2): 1})  # a key it holds
+        cache.save()
+        assert path.read_bytes() == saved
+        assert len(saved.splitlines()) == 3
+
     @pytest.mark.parametrize("fault", ["raise", "short"])
     def test_failed_append_keeps_old_file(self, tmp_path, monkeypatch, fault):
         path = tmp_path / "powers.lrpow"

@@ -20,8 +20,8 @@ from lrlab import (
     partitions_up_to,
     theorem_bound,
 )
-from lrlab.cones import _solve_columns
-from lrlab.errors import UnsupportedLength
+from lrlab.cones import _check_decomposition, _solve_columns
+from lrlab.errors import NoDecomposition, UnsupportedLength
 
 
 def P(*parts):
@@ -170,3 +170,29 @@ class TestPinned:
             if dominates(a.scaled(n), b)
         }
         assert got == self.PINS["decompositions"]
+
+
+class TestCheckDecomposition:
+    """cone [11,3,1] [4,1] --l 3: the first solvable generator subset,
+    {(1,2,3)}, {(1),(2,3)}, {(1,2),(3)}, solves exactly with a negative
+    coefficient, so the search moves on to the next subset."""
+
+    A, B, L = P(4, 1), P(11, 3, 1), 3
+
+    def test_negative_coefficient_is_refused(self):
+        subs = list(all_subdivisions(self.L))[:3]
+        coeffs = [Fraction(-1, 70), Fraction(8, 21), Fraction(2, 15)]
+        gens = [cone_generator(self.A, j).padded(3) for j in subs]
+        total = [sum(q * g[i] for g, q in zip(gens, coeffs)) for i in range(3)]
+        assert total == list(self.B.parts)  # the residual alone would accept it
+        with pytest.raises(NoDecomposition, match="negative"):
+            _check_decomposition(list(zip(subs, coeffs)), self.A, self.B.padded(3), self.L)
+
+    def test_returned_decomposition(self):
+        cert = cone_generator_decomposition(self.B, self.A, self.L)
+        assert cert.n == 3
+        assert cert.decomposition == [
+            (Subdivision([3]), Fraction(1, 14)),
+            (Subdivision([1, 2]), Fraction(2, 21)),
+            (Subdivision([1, 1, 1]), Fraction(1, 3)),
+        ]

@@ -50,6 +50,11 @@ class TestTruncate:
         got = E({(2, 1, 1): 1, (3, 1): 1}).truncated(2)
         assert got == E({(3, 1): 1}, cap=2)
 
+    def test_constructor_drops_terms_longer_than_the_cap(self):
+        x = LRElement({P(2, 1, 1): 3, P(3, 1): 1, P(1, 1, 1, 1): 2}, cap=2)
+        assert x.items() == [(P(3, 1), 1)]
+        assert x == E({(3, 1): 1}, cap=2) and x.cap == 2
+
     def test_column_dies_below_its_length(self):
         assert LRElement.basis(single_column(3)).truncated(2) == LRElement.zero(cap=2)
 

@@ -52,6 +52,16 @@ class TestThresholdSearch:
     def test_single_row_length_one(self):
         assert minimal_uniform_exponent(P(1), 1, 3).threshold == 1
 
+    def test_threshold_follows_the_last_failure(self, monkeypatch):
+        # the property is not assumed monotone: failures at n=2 and n=4
+        def fake(a, n, l):
+            return (False, P(n, 1)) if n in (2, 4) else (True, None)
+
+        monkeypatch.setattr("lrlab.search.property_holds", fake)
+        res = minimal_uniform_exponent(P(2), 2, 6)
+        assert res.threshold == 5
+        assert res.failures == [(2, P(2, 1)), (4, P(4, 1))]
+
     def test_json_roundtrip(self):
         res = minimal_uniform_exponent(P(2), 2, 5)
         back = ExponentSearch.from_json(res.to_json())

@@ -171,3 +171,31 @@ def fault_fingerprints(fault):
 def test_failure_records_match_golden(fault):
     golden = json.loads(FAULT_GOLDEN.read_text())[fault]
     assert fault_fingerprints(fault) == golden
+
+
+# ------------------------------------------------------- chain check reasons
+
+
+@pytest.mark.parametrize(
+    "a, b, chain, reason",
+    [
+        ([4], [2, 2], [[4], [2, 2]], "length 2 differs from distance 2 + 1"),
+        ([4, 2], [3, 3], [[3, 3], [4, 2]], "endpoints wrong"),
+        ([4, 2], [3, 3], [[4, 2], [4, 1, 1]], "endpoints wrong"),
+        ([4], [2, 1, 1], [[4], [2, 2], [2, 1, 1]], "adjacent distance is not 1 between [4] and [2,2]"),
+        ([4], [2, 2], [[4], [4], [2, 2]], "adjacent distance is not 1 between [4] and [4]"),
+        ([4], [2, 2], [[4], [4, 1], [2, 2]], "adjacent distance is not 1 between [4] and [4,1]"),
+        (
+            [4, 2, 2],
+            [3, 3, 1, 1],
+            [[4, 2, 2], [4, 3, 1], [3, 3, 1, 1]],
+            "[4,2,2] does not strictly dominate [4,3,1]",
+        ),
+        ([4], [2, 2], [[4], [3, 1], [2, 2]], None),
+    ],
+)
+def test_chain_reason_pins(monkeypatch, a, b, chain, reason):
+    # the containment reason is not listed: a chain that passes the length and
+    # one-cell checks moves every row monotonically, so it cannot fire
+    monkeypatch.setattr(verify_mod, "interpolating_sequence", lambda x, y: [P(*c) for c in chain])
+    assert verify_mod._chain_reason(P(*a), P(*b)) == reason
