@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library operations and emit either plain
 text or the JSON schemas of the library types. Output is byte-deterministic
 for a fixed build and input; exit codes: 0 success or PASS, 1 a verification
-failed or a claimed witness does not exist, 2 usage error or unusable cache
-path, 3 term budget or memory exhausted.
+failed or a claimed witness does not exist, 2 usage error, unusable cache
+path or invalid LRLAB_BUDGET, 3 term budget or memory exhausted.
 
 Each subcommand imports only the layers it runs, when it runs: a cold
 `dominance` or `interpolate` loads `errors` and `partitions` alone, and

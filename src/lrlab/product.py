@@ -30,6 +30,7 @@ cache is the exception: its file record has no peak, so its size stands in.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 from .elements import LRElement
@@ -47,13 +48,18 @@ _power_memo: dict = {}
 
 
 def term_budget(explicit: int | None = None) -> int:
-    """Effective term budget: explicit argument, else environment, else default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_TERM_BUDGET
+    """Effective term budget: explicit argument, else environment, else default.
+    A budget that is negative or not an integer raises ValueError naming it."""
+    name, value = "budget", explicit
+    if explicit is None:
+        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR)
+        if value is None:
+            return DEFAULT_TERM_BUDGET
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    return value
 
 
 def clear_caches() -> None:

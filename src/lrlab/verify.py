@@ -1,13 +1,13 @@
 """Bounded machine verification of the product identities and containments.
 
-Each suite is one generator that takes its bounds only; the term budget is
-the product layer's (LRLAB_BUDGET or its default). A suite enumerates every
-instance that satisfies its hypotheses inside the bounds, checks the claimed
-containment or equality there, with exact arithmetic, and yields the
-instance record together with a failure reason, or None when the claim
-holds. verify_lemma counts the instances and keeps the failure records in
-enumeration order, so a report is byte-stable and each recorded failure can
-be replayed from its record alone.
+Each suite is one generator whose keyword-only parameters are its bounds;
+the term budget is the product layer's (LRLAB_BUDGET or its default). A
+suite enumerates every instance that satisfies its hypotheses inside the
+bounds, checks the claimed containment or equality there, with exact
+arithmetic, and yields the instance record together with a failure reason,
+or None when the claim holds. verify_lemma counts the instances and keeps
+the failure records in enumeration order, so a report is byte-stable and
+each recorded failure can be replayed from its record alone.
 """
 
 from __future__ import annotations
@@ -63,12 +63,18 @@ def _distance_one_pairs(w: int, max_len: int | None = None):
     return out
 
 
+def _by_length(max_weight: int, max_l: int) -> Iterator[tuple[int, list[Partition]]]:
+    """(l, partitions of weight <= max_weight with at most l rows) for l = 1..max_l."""
+    for l in range(1, max_l + 1):
+        yield l, list(partitions_up_to(max_weight, max_len=l))
+
+
 # ---------------------------------------------------------------- suites
 
 
-def _smaller(bounds) -> Checked:
+def _smaller(*, max_weight=6) -> Checked:
     pairs = []
-    for weight in range(1, bounds["max_weight"] + 1):
+    for weight in range(1, max_weight + 1):
         pairs.extend(_distance_one_pairs(weight))
     for a1, a2, ra_hi, ra_lo in pairs:
         for c1, c2, rc_hi, rc_lo in pairs:
@@ -82,10 +88,8 @@ def _smaller(bounds) -> Checked:
             yield {"A1": _lp(a1), "A2": _lp(a2), "C1": _lp(c1), "C2": _lp(c2)}, reason
 
 
-def _chi(bounds) -> Checked:
-    w = bounds["max_weight"]
-    for l in range(1, bounds["max_l"] + 1):
-        pool = list(partitions_up_to(w, max_len=l))
+def _chi(*, max_weight=5, max_l=3) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
         for a in pool:
             for b in pool:
                 p = a.shifted(reversed_negation(b, l))
@@ -97,10 +101,9 @@ def _chi(bounds) -> Checked:
                 yield {"l": l, "A": _lp(a), "B": _lp(b), "shifted": _lp(p)}, reason
 
 
-def _atensorl(bounds) -> Checked:
-    w = bounds["max_weight"]
-    for l in range(1, bounds["max_l"] + 1):
-        for a in partitions_up_to(w, max_len=l):
+def _atensorl(*, max_weight=5, max_l=3) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
+        for a in pool:
             full = Partition([a.weight] * l)
             shifted = full.shifted(reversed_negation(a, l))
             reason = None
@@ -113,27 +116,24 @@ def _atensorl(bounds) -> Checked:
             yield {"l": l, "A": _lp(a)}, reason
 
 
-def _exchange(bounds) -> Checked:
-    for l in range(1, bounds["max_l"] + 1):
+def _exchange(*, max_l=5) -> Checked:
+    for l in range(1, max_l + 1):
         for r, s, t, u in product(range(l + 1), repeat=4):
             if r + s + t + u > l or not (r + s and t + u and r + t and s + u):
                 continue
             left = single_column(r).plus(single_column(l - t), l)
             right = single_column(s).plus(single_column(l - u), l)
-            target = single_column(l).plus(single_column(r + s - 1), l).plus(
-                single_column(l - t - u + 1), l
-            )
+            top = single_column(l).plus(single_column(r + s - 1), l)
+            target = top.plus(single_column(l - t - u + 1), l)
             reason = None
             if mul(left, right, cap=l)[target] < 1:
                 reason = f"{target} missing from {left}x{right} at length {l}"
             yield {"l": l, "r": r, "s": s, "t": t, "u": u}, reason
 
 
-def _g_in_tensor(bounds) -> Checked:
-    w = bounds["max_weight"]
-    for l in range(1, bounds["max_l"] + 1):
+def _g_in_tensor(*, max_weight=4, max_l=3) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
         big_l = lcm_upto(l)
-        pool = list(partitions_up_to(w, max_len=l))
         for j in all_subdivisions(l):
             for a in pool:
                 gen = cone_generator(a, j)
@@ -148,13 +148,11 @@ def _g_in_tensor(bounds) -> Checked:
                 yield {"l": l, "mask": j.mask, "A": _lp(a)}, reason
 
 
-def _h_in_tensor(bounds) -> Checked:
-    w = bounds["max_weight"]
-    for l in range(1, bounds["max_l"] + 1):
+def _h_in_tensor(*, max_weight=4, max_l=3) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
         big_l = lcm_upto(l)
-        pool = [a for a in partitions_up_to(w, max_len=l) if a]
         for j in all_subdivisions(l):
-            for a in pool:
+            for a in pool[1:]:  # the empty partition comes first and has no columns
                 conj = a.conjugate()
                 for beta in range(2, a.parts[0] + 1):
                     for delta in range(1, beta):
@@ -172,13 +170,11 @@ def _h_in_tensor(bounds) -> Checked:
                         yield record, reason
 
 
-def _h_mult_p(bounds) -> Checked:
-    w, wp = bounds["max_weight"], bounds["max_weight_p"]
-    for l in range(1, bounds["max_l"] + 1):
+def _h_mult_p(*, max_weight=4, max_l=3, max_weight_p=4) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
         move_pool = []
-        for weight in range(1, wp + 1):
+        for weight in range(1, max_weight_p + 1):
             move_pool.extend(_distance_one_pairs(weight, max_len=l))
-        pool = list(partitions_up_to(w, max_len=l))
         for j in all_subdivisions(l):
             blocks = range(1, j.block_count + 1)
             for a in pool:
@@ -208,17 +204,15 @@ def _h_mult_p(bounds) -> Checked:
                         yield record, reason
 
 
-def _a_mult_pp(bounds) -> Checked:
-    w, kmax = bounds["max_weight"], bounds["max_k"]
-    for l in range(1, bounds["max_l"] + 1):
-        pool = list(partitions_up_to(w, max_len=l))
+def _a_mult_pp(*, max_weight=4, max_l=3, max_k=2) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
         for j in all_subdivisions(l):
             for a in pool:
                 for b in partitions_of(a.weight, max_len=l):
                     if dominance_compare(a, b) is not Dominance.GREATER:
                         continue
                     k = diagram_distance(a, b)
-                    if not 1 <= k <= kmax:
+                    if not 1 <= k <= max_k:
                         continue
                     target = cone_generator(a, j).scaled(k).plus(b, l)
                     n = k * lcm_upto(l) + 1
@@ -228,18 +222,17 @@ def _a_mult_pp(bounds) -> Checked:
                     yield {"l": l, "mask": j.mask, "A": _lp(a), "B": _lp(b), "k": k}, reason
 
 
-def _mult_plus(bounds) -> Checked:
-    w = bounds["max_weight"]
-    pool = list(partitions_up_to(w))
+def _mult_plus(*, max_weight=6) -> Checked:
+    pool = list(partitions_up_to(max_weight))
     for b1 in pool:
         for c1 in pool:
             w1 = b1.weight + c1.weight
-            if w1 > w:
+            if w1 > max_weight:
                 break
             supp1 = [q for q, _ in mul(b1, c1).items()]
             for b2 in pool:
                 for c2 in pool:
-                    if w1 + b2.weight + c2.weight > w:
+                    if w1 + b2.weight + c2.weight > max_weight:
                         break
                     supp2 = [q for q, _ in mul(b2, c2).items()]
                     big = mul(b1.plus(b2), c1.plus(c2))
@@ -259,15 +252,14 @@ def _mult_plus(bounds) -> Checked:
                             yield record, reason
 
 
-def _mult_inert(bounds) -> Checked:
-    w = bounds["max_weight"]
-    pool = list(partitions_up_to(w))
+def _mult_inert(*, max_weight=6) -> Checked:
+    pool = list(partitions_up_to(max_weight))
     for a in pool:
         for b in pool:
-            if a.weight + b.weight > w:
+            if a.weight + b.weight > max_weight:
                 break
             for c in pool:
-                if a.weight + b.weight + c.weight > w:
+                if a.weight + b.weight + c.weight > max_weight:
                     break
                 lhs = mul(a.plus(b), c)
                 rhs = mul(b, c).shift_add(a)
@@ -277,14 +269,12 @@ def _mult_inert(bounds) -> Checked:
                 yield {"A": _lp(a), "B": _lp(b), "C": _lp(c)}, reason
 
 
-def _mult_circ(bounds) -> Checked:
-    w = bounds["max_weight"]
-    for l in range(1, bounds["max_l"] + 1):
-        pool = list(partitions_up_to(w, max_len=l))
+def _mult_circ(*, max_weight=6, max_l=3) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
         for j in all_subdivisions(l):
             for b in pool:
                 for c in pool:
-                    if b.weight + c.weight > w:
+                    if b.weight + c.weight > max_weight:
                         break
                     supports = []
                     for iv in j.intervals:
@@ -315,11 +305,13 @@ def _chain_reason(a: Partition, b: Partition) -> str | None:
     symmetric difference of the two diagrams, or None.
 
     Partitions are padded to one length, so distances are sums of positive
-    row differences. Where step i is longer than step j in row r, its extra
-    cells lie in a's part of the difference iff b_r <= s_j[r] and
-    s_i[r] <= a_r; the mirror holds where step j is longer. That last check
-    cannot fail once the others pass (distance + 1 one-cell steps from a to
-    b move every row monotonically), and is kept as a cheap guard.
+    row differences. Where step i is longer than step i+1 in row r, its cell
+    lies in a's part of the difference iff b_r <= s_{i+1}[r] and s_i[r] <= a_r;
+    the mirror holds where step i+1 is longer. Adjacent steps suffice: once
+    the length and one-cell checks pass, distance + 1 one-cell steps lead
+    from a to b, so every row moves monotonically from a_r to b_r and the
+    cells between any two steps are those of the adjacent steps in between.
+    For the same reason the check cannot fail then; it is a cheap guard.
     """
     seq = interpolating_sequence(a, b)
     n = max(len(p) for p in (a, b, *seq))
@@ -338,16 +330,15 @@ def _chain_reason(a: Partition, b: Partition) -> str | None:
         # one cell moved, so x dominates y iff the cell left the upper row
         if px < py:
             return f"{x} does not strictly dominate {y}"
-    for i, pi in enumerate(rows):
-        for jdx in range(i + 1, len(rows)):
-            for p, q, ar, br in zip(pi, rows[jdx], pa, pb):
-                if (p > q and (q < br or p > ar)) or (q > p and (p < ar or q > br)):
-                    return f"cells of step {i}->{jdx} leave the symmetric difference"
+    for i, (px, py) in enumerate(zip(rows, rows[1:])):
+        for p, q, ar, br in zip(px, py, pa, pb):
+            if (p > q and (q < br or p > ar)) or (q > p and (p < ar or q > br)):
+                return f"cells of step {i}->{i + 1} leave the symmetric difference"
     return None
 
 
-def _pseq(bounds) -> Checked:
-    for weight in range(bounds["max_weight"] + 1):
+def _pseq(*, max_weight=8) -> Checked:
+    for weight in range(max_weight + 1):
         pool = list(partitions_of(weight))
         for a in pool:
             for b in pool:
@@ -355,15 +346,14 @@ def _pseq(bounds) -> Checked:
                     yield {"A": _lp(a), "B": _lp(b)}, _chain_reason(a, b)
 
 
-def _chi_symmetry(bounds) -> Checked:
-    w, shift = bounds["max_weight"], bounds["max_shift"]
-    for l in range(1, bounds["max_l"] + 1):
+def _chi_symmetry(*, max_weight=4, max_l=3, max_shift=4) -> Checked:
+    for l, pool in _by_length(max_weight, max_l):
         det = single_column(l)
         # (A, m, chi(A) + m*det) for every A whose shifted image is a partition
         shifted = []
-        for a in partitions_up_to(w, max_len=l):
+        for a in pool:
             neg = reversed_negation(a, l)
-            for m in range(shift + 1):
+            for m in range(max_shift + 1):
                 pa = det.scaled(m).shifted(neg)
                 if pa is not None:
                     shifted.append((a, m, pa))
@@ -383,8 +373,8 @@ def _chi_symmetry(bounds) -> Checked:
                 yield {"l": l, "A": _lp(a), "B": _lp(b), "m": m, "n": n}, reason
 
 
-def _highest_term(bounds) -> Checked:
-    pool = list(partitions_up_to(bounds["max_weight"]))
+def _highest_term(*, max_weight=6) -> Checked:
+    pool = list(partitions_up_to(max_weight))
     for a in pool:
         for b in pool:
             prod = mul(a, b)
@@ -400,42 +390,46 @@ def _highest_term(bounds) -> Checked:
             yield {"A": _lp(a), "B": _lp(b)}, reason
 
 
-_SUITES: dict[str, tuple[dict[str, int], Callable[[dict[str, int]], Checked]]] = {
-    "SMALLER": ({"max_weight": 6}, _smaller),
-    "CHI": ({"max_weight": 5, "max_l": 3}, _chi),
-    "ATENSORL": ({"max_weight": 5, "max_l": 3}, _atensorl),
-    "EXCHANGE": ({"max_l": 5}, _exchange),
-    "G_IN_TENSOR": ({"max_weight": 4, "max_l": 3}, _g_in_tensor),
-    "H_IN_TENSOR": ({"max_weight": 4, "max_l": 3}, _h_in_tensor),
-    "H_MULT_P": ({"max_weight": 4, "max_l": 3, "max_weight_p": 4}, _h_mult_p),
-    "A_MULT_PP": ({"max_weight": 4, "max_l": 3, "max_k": 2}, _a_mult_pp),
-    "MULT_PLUS": ({"max_weight": 6}, _mult_plus),
-    "MULT_INERT": ({"max_weight": 6}, _mult_inert),
-    "MULT_CIRC": ({"max_weight": 6, "max_l": 3}, _mult_circ),
-    "PSEQ": ({"max_weight": 8}, _pseq),
-    "CHI_SYMMETRY": ({"max_weight": 4, "max_l": 3, "max_shift": 4}, _chi_symmetry),
-    "HIGHEST_TERM": ({"max_weight": 6}, _highest_term),
+_SUITES: dict[str, Callable[..., Checked]] = {
+    "SMALLER": _smaller,
+    "CHI": _chi,
+    "ATENSORL": _atensorl,
+    "EXCHANGE": _exchange,
+    "G_IN_TENSOR": _g_in_tensor,
+    "H_IN_TENSOR": _h_in_tensor,
+    "H_MULT_P": _h_mult_p,
+    "A_MULT_PP": _a_mult_pp,
+    "MULT_PLUS": _mult_plus,
+    "MULT_INERT": _mult_inert,
+    "MULT_CIRC": _mult_circ,
+    "PSEQ": _pseq,
+    "CHI_SYMMETRY": _chi_symmetry,
+    "HIGHEST_TERM": _highest_term,
 }
 
 LEMMA_IDS: tuple[str, ...] = tuple(_SUITES)
+_BOUND_NAMES = frozenset(k for suite in _SUITES.values() for k in suite.__kwdefaults__)
 
 
 def default_bounds(lemma_id: str) -> dict[str, int]:
+    """The suite's bounds with their defaults, in the order its report lists them."""
     if lemma_id not in _SUITES:
         raise UnknownLemma(f"no suite named {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
-    return dict(_SUITES[lemma_id][0])
+    return dict(_SUITES[lemma_id].__kwdefaults__)
 
 
 def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> VerificationReport:
-    """Run one suite and report sweep size, failures, and elapsed time."""
-    if lemma_id not in _SUITES:
-        raise UnknownLemma(f"no suite named {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
-    defaults, suite = _SUITES[lemma_id]
-    eff = {k: (bounds or {}).get(k, v) for k, v in defaults.items()}
+    """Run one suite and report sweep size, failures, and elapsed time.
+    Bounds other suites declare are ignored; any other name raises ValueError."""
+    bounds = bounds or {}
+    eff = {k: bounds.get(k, v) for k, v in default_bounds(lemma_id).items()}
+    unknown = sorted(bounds.keys() - _BOUND_NAMES)
+    if unknown:
+        raise ValueError(f"no suite takes a bound named {', '.join(unknown)}")
     start = perf_counter()
     cases = 0
     failures = []
-    for record, reason in suite(eff):
+    for record, reason in _SUITES[lemma_id](**eff):
         cases += 1
         if reason is not None:
             failures.append({**record, "reason": reason})

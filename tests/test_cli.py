@@ -74,6 +74,12 @@ class TestMulAndPower:
         assert code == 3
         assert b"budget" in err.lower()
 
+    @pytest.mark.parametrize("value, shown", [("-5", "-5"), ("abc", "'abc'")])
+    def test_bad_budget_variable_is_usage_error(self, value, shown):
+        code, out, err = run_proc("power", "[2,1]", "3", env_extra={"LRLAB_BUDGET": value})
+        assert code == 2 and out == b""
+        assert err.decode() == f"error: LRLAB_BUDGET must be a non-negative integer, not {shown}\n"
+
     def test_out_of_memory_exit_code(self, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError
@@ -313,6 +319,16 @@ class TestCache:
         capsys.readouterr()
         assert step.read_bytes() == one.read_bytes()
         assert len(PowerCache(str(step))) == 7
+
+    def test_stepwise_sweep_file_bytes(self, tmp_path, capsys):
+        # records sorted by key in save order, each record's terms in descending order
+        path = tmp_path / "sweep.lrpow"
+        for n in range(1, 7):
+            clear_caches()
+            assert main(["power", "[4,2,1]", str(n), "--l", "4", "--cache", str(path)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "add36473845ea27cd841c0cf4fa4d7ce2a2b6acb3be238438bc0c565c800d498"
 
     def test_save_to_a_valid_file_appends_without_rename(self, tmp_path, monkeypatch):
         path = tmp_path / "powers.lrpow"

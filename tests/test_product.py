@@ -29,9 +29,11 @@ from lrlab import (
     partitions_up_to,
     single_column,
     tensor_power,
+    term_budget,
 )
 from lrlab import product
 from lrlab.errors import BudgetExceeded
+from lrlab.powercache import PowerCache
 
 
 def P(*parts):
@@ -405,6 +407,102 @@ class TestBudgetIgnoresMemoState:
             clear_caches()
             assert _outcome(call, 89) is not BudgetExceeded
         clear_caches()
+
+
+# Every budgeted call with its peak: the largest term count any step of its
+# cold computation reaches, counted on this tree. Several peak above the size
+# of their result. The last three peak in the expansion of (3,2,1), above
+# their own strip steps, and fill each other's expansion memo; the zero
+# element times (3,2,1) has no strip step at all.
+PEAKED_CALLS = {
+    **BUDGETED_CALLS,
+    "mul_321_1": lambda budget: mul(P(3, 2, 1), P(1), budget=budget),
+    "mul_1_321": lambda budget: mul(P(1), P(3, 2, 1), budget=budget),
+    "mul_element_zero": lambda budget: mul_element(LRElement.zero(), P(3, 2, 1), budget=budget),
+}
+PEAKS = {
+    "mul": 8,
+    "mul_capped": 5,
+    "mul_element": 12,
+    "power": 66,
+    "power_capped": 18,
+    "mul_321_1": 6,
+    "mul_1_321": 6,
+    "mul_element_zero": 6,
+}
+RESULT_SIZES = {
+    "mul": 7,
+    "mul_capped": 5,
+    "mul_element": 11,
+    "power": 63,
+    "power_capped": 18,
+    "mul_321_1": 4,
+    "mul_1_321": 4,
+    "mul_element_zero": 0,
+}
+
+
+class TestBudgetAtThePeak:
+    """A budget of peak - 1 raises and a budget of peak passes, whatever the memo
+    tables hold: nothing, every other call's entries, or every call's."""
+
+    def _warm_up(self, name, memo):
+        clear_caches()
+        for other, call in PEAKED_CALLS.items():
+            if memo == "all" or (memo == "others" and other != name):
+                call(None)
+
+    @pytest.mark.parametrize("memo", ["cold", "others", "all"])
+    @pytest.mark.parametrize("name", sorted(PEAKED_CALLS))
+    def test_peak_is_the_least_budget_that_passes(self, name, memo):
+        call, peak = PEAKED_CALLS[name], PEAKS[name]
+        self._warm_up(name, memo)
+        with pytest.raises(BudgetExceeded):
+            call(peak - 1)
+        self._warm_up(name, memo)
+        assert len(call(peak)) == RESULT_SIZES[name]
+        clear_caches()
+
+    def test_power_read_from_a_cache_peaks_at_its_size(self, tmp_path):
+        # the file record has no peak, so its size stands in; the cold peak is 66
+        path = str(tmp_path / "powers.lrpow")
+        cache = PowerCache(path)
+        clear_caches()
+        tensor_power(P(2, 1), 4, cache=cache)
+        cache.save()
+
+        def call(budget):
+            return tensor_power(P(2, 1), 4, budget=budget, cache=PowerCache(path))
+
+        for warm in (False, True):
+            clear_caches()
+            if warm:
+                call(None)
+            with pytest.raises(BudgetExceeded):
+                call(62)
+            assert len(call(63)) == 63
+        clear_caches()
+
+
+class TestBudgetValue:
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="^budget must be a non-negative integer, not -1$"):
+            mul(P(2, 1), P(1), budget=-1)
+
+    @pytest.mark.parametrize("value", ["-5", "abc", "1.5", ""])
+    def test_bad_environment_budget_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("LRLAB_BUDGET", value)
+        with pytest.raises(ValueError, match="^LRLAB_BUDGET must be a non-negative integer"):
+            tensor_power(P(2, 1), 2)
+
+    def test_zero_budget_is_valid(self, monkeypatch):
+        assert term_budget(0) == 0
+        with pytest.raises(BudgetExceeded):
+            mul(P(2, 1), P(1), budget=0)
+        monkeypatch.setenv("LRLAB_BUDGET", "0")
+        assert term_budget() == 0
+        monkeypatch.setenv("LRLAB_BUDGET", " 7 ")
+        assert term_budget() == 7
 
 
 POOL_7 = list(partitions_up_to(7))

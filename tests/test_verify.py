@@ -23,6 +23,7 @@ from lrlab import (
     mul,
     single_column,
     tensor_power,
+    verify_all,
     verify_lemma,
 )
 from lrlab.errors import UnknownLemma
@@ -63,6 +64,31 @@ def test_unknown_lemma():
         verify_lemma("NOPE")
     with pytest.raises(UnknownLemma):
         default_bounds("NOPE")
+
+
+def test_bound_that_no_suite_declares_is_refused():
+    with pytest.raises(ValueError, match="max_wieght"):
+        verify_lemma("PSEQ", {"max_wieght": 3})
+    with pytest.raises(ValueError, match="max_wieght"):
+        verify_all({"max_weight": 2, "max_wieght": 3})
+
+
+def test_bound_that_another_suite_declares_is_ignored():
+    rep = verify_lemma("PSEQ", {"max_weight": 3, "max_l": 2, "max_k": 1})
+    assert rep.bounds == {"max_weight": 3}
+    assert rep.cases_checked == verify_lemma("PSEQ", {"max_weight": 3}).cases_checked
+
+
+def test_default_bounds_is_a_copy():
+    default_bounds("CHI")["max_l"] = 9
+    assert default_bounds("CHI") == {"max_weight": 5, "max_l": 3}
+    assert verify_lemma("CHI", {"max_weight": 1}).bounds == {"max_weight": 1, "max_l": 3}
+
+
+def test_cli_bound_options_are_the_declared_bounds():
+    declared = {name for lid in LEMMA_IDS for name in default_bounds(lid)}
+    assert set(cli_mod._BOUND_NAMES) == declared
+    assert len(cli_mod._BOUND_NAMES) == len(declared)
 
 
 def test_registry_order_is_stable():
