@@ -420,25 +420,16 @@ PEAKED_CALLS = {
     "mul_1_321": lambda budget: mul(P(1), P(3, 2, 1), budget=budget),
     "mul_element_zero": lambda budget: mul_element(LRElement.zero(), P(3, 2, 1), budget=budget),
 }
+# (peak, size of the result)
 PEAKS = {
-    "mul": 8,
-    "mul_capped": 5,
-    "mul_element": 12,
-    "power": 66,
-    "power_capped": 18,
-    "mul_321_1": 6,
-    "mul_1_321": 6,
-    "mul_element_zero": 6,
-}
-RESULT_SIZES = {
-    "mul": 7,
-    "mul_capped": 5,
-    "mul_element": 11,
-    "power": 63,
-    "power_capped": 18,
-    "mul_321_1": 4,
-    "mul_1_321": 4,
-    "mul_element_zero": 0,
+    "mul": (8, 7),
+    "mul_capped": (5, 5),
+    "mul_element": (12, 11),
+    "power": (66, 63),
+    "power_capped": (18, 18),
+    "mul_321_1": (6, 4),
+    "mul_1_321": (6, 4),
+    "mul_element_zero": (6, 0),
 }
 
 
@@ -455,12 +446,12 @@ class TestBudgetAtThePeak:
     @pytest.mark.parametrize("memo", ["cold", "others", "all"])
     @pytest.mark.parametrize("name", sorted(PEAKED_CALLS))
     def test_peak_is_the_least_budget_that_passes(self, name, memo):
-        call, peak = PEAKED_CALLS[name], PEAKS[name]
+        call, (peak, size) = PEAKED_CALLS[name], PEAKS[name]
         self._warm_up(name, memo)
         with pytest.raises(BudgetExceeded):
             call(peak - 1)
         self._warm_up(name, memo)
-        assert len(call(peak)) == RESULT_SIZES[name]
+        assert len(call(peak)) == size
         clear_caches()
 
     def test_power_read_from_a_cache_peaks_at_its_size(self, tmp_path):
