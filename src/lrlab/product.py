@@ -12,8 +12,11 @@ Two independent algorithms are kept side by side on purpose:
   a lattice word, one coefficient at a time.
 
 The test suite demands that both agree. Memo values are term dicts shared
-with LRElement and never mutated after they are stored; lrlab starts no
-threads, so no memo table has concurrent readers.
+with LRElement and never mutated; lrlab starts no threads, so no memo table
+has concurrent readers. The product memo is keyed by the unordered pair of
+factors in lexicographic order; of that pair the factor with the shorter
+expansion is expanded (the second on a tie), so mul(a, b) and mul(b, a) share
+one computation, and a product's peak depends only on the unordered pair.
 
 The vertical-strip step has one memo table per (column height, cap), keyed
 by the part tuple, which _apply looks up inline. Every tuple the step builds
@@ -189,12 +192,14 @@ def _expansion(
 def _mul_parts(
     a: tuple[int, ...], b: tuple[int, ...], cap: int | None, budget: int
 ) -> dict[tuple[int, ...], int]:
+    if b < a:  # the product commutes: one memo entry per unordered pair
+        a, b = b, a
     key = (a, b, cap)
     hit = _mul_memo.get(key)
     if hit is None:
         exp_a, peak_a = _expansion(a, cap, budget)
         exp_b, peak_b = _expansion(b, cap, budget)
-        # the product commutes: expand the factor with the shorter expansion
+        # expand the factor with the shorter expansion, on a tie the second
         base, exp = (b, exp_a) if len(exp_a) < len(exp_b) else (a, exp_b)
         out, peak = _apply({base: 1}, exp, cap, budget)
         _check_nonnegative(out, f"{a} x {b}")
@@ -205,9 +210,8 @@ def _mul_parts(
 
 def mul(a: Partition, b: Partition, cap: int | None = None, budget: int | None = None) -> LRElement:
     """Product of two basis partitions (signed column expansion)."""
-    return LRElement._from_raw(
-        _mul_parts(a.parts, b.parts, cap, term_budget(budget)), cap
-    )
+    terms = _mul_parts(a.parts, b.parts, cap, term_budget(budget))
+    return LRElement._from_raw(terms, cap)
 
 
 def mul_by_column(a: Partition, r: int, cap: int | None = None) -> LRElement:

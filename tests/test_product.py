@@ -30,6 +30,7 @@ from lrlab import (
     single_column,
     tensor_power,
     term_budget,
+    verify_lemma,
 )
 from lrlab import product
 from lrlab.errors import BudgetExceeded
@@ -419,6 +420,8 @@ PEAKED_CALLS = {
     "mul_321_1": lambda budget: mul(P(3, 2, 1), P(1), budget=budget),
     "mul_1_321": lambda budget: mul(P(1), P(3, 2, 1), budget=budget),
     "mul_element_zero": lambda budget: mul_element(LRElement.zero(), P(3, 2, 1), budget=budget),
+    "mul_2_22": lambda budget: mul(P(2), P(2, 2), budget=budget),
+    "mul_22_2": lambda budget: mul(P(2, 2), P(2), budget=budget),
 }
 # (peak, size of the result)
 PEAKS = {
@@ -430,6 +433,8 @@ PEAKS = {
     "mul_321_1": (6, 4),
     "mul_1_321": (6, 4),
     "mul_element_zero": (6, 0),
+    "mul_2_22": (7, 3),
+    "mul_22_2": (7, 3),
 }
 
 
@@ -475,6 +480,24 @@ class TestBudgetAtThePeak:
         clear_caches()
 
 
+class TestUnorderedProductMemo:
+    """mul(a, b) and mul(b, a) share one memo entry, computation and term dict."""
+
+    def test_mirrored_calls_share_their_terms(self):
+        clear_caches()
+        assert mul(P(2), P(2, 2))._terms is mul(P(2, 2), P(2))._terms
+        assert mul(P(3, 1), P(2), cap=2)._terms is mul(P(2), P(3, 1), cap=2)._terms
+        assert len(product._mul_memo) == 2
+        clear_caches()
+
+    def test_smaller_fills_one_entry_per_unordered_pair(self):
+        # an ordered-pair key fills 3,278 entries here
+        clear_caches()
+        verify_lemma("SMALLER", {"max_weight": 8})
+        assert len(product._mul_memo) == 1_668
+        clear_caches()
+
+
 class TestBudgetValue:
     def test_negative_budget_is_refused(self):
         with pytest.raises(ValueError, match="^budget must be a non-negative integer, not -1$"):
@@ -516,6 +539,22 @@ class TestDifferential:
         for _ in range(n):
             step = mul_element(step, a)
         assert tensor_power(a, n, cap=cap) == step
+
+    def test_mul_matches_tableau_oracle_in_both_orders(self):
+        # every unordered pair of weight 8 or less, with cold memos, once with
+        # each order of the factors called first
+        pool = list(partitions_up_to(8))
+        for cap in (None, 1, 2, 3):
+            for i, a in enumerate(pool):
+                for b in pool[i:]:
+                    if a.weight + b.weight > 8:
+                        continue
+                    want = mul_tableau(a, b, cap=cap)
+                    for x, y in ((a, b), (b, a)):
+                        clear_caches()
+                        first, mirrored = mul(x, y, cap=cap), mul(y, x, cap=cap)
+                        assert first == mirrored == want, (x, y, cap)
+        clear_caches()
 
     @fixed_profile
     @given(st.sampled_from(list(partitions_up_to(5))), st.integers(0, 6), st.integers(1, 4))
