@@ -32,7 +32,7 @@ from .errors import (
 )
 from .partitions import Partition, dominance_compare, interpolating_sequence
 
-_PARTITION_RE = re.compile(r"^\[(\d+(,\d+)*)?\]$")
+_PARTITION_RE = re.compile(r"\[([0-9]+(,[0-9]+)*)?\]")  # ASCII digits only
 _BOUND_NAMES = ("max_weight", "max_l", "max_k", "max_weight_p", "max_shift")
 # verify.LEMMA_IDS in its order, spelled out so that building the parser does not
 # import verify; tests/test_verify.py keeps the two equal
@@ -63,7 +63,7 @@ class UsageError(LRLabError):
 
 def parse_partition(text: str) -> Partition:
     """Bracketed comma-separated decimal parts, e.g. [4,2,1] or []."""
-    if not _PARTITION_RE.match(text):
+    if not _PARTITION_RE.fullmatch(text):
         raise UsageError(f"bad partition literal {text!r}; expected like [4,2,1] or []")
     inner = text[1:-1]
     try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import zip_longest
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidPartition, NotComparable, NotWeaklyDecreasing
@@ -103,23 +104,20 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram (column lengths become parts)."""
-        if not self._parts:
-            return self
-        cols = [0] * self._parts[0]
-        for p in self._parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition._trusted(tuple(cols))
+        return Partition._trusted(conjugate_parts(self._parts))
 
     def contains(self, other: "Partition") -> bool:
         """Young-diagram containment."""
         return all(self[i] >= q for i, q in enumerate(other.parts))
 
     def plus(self, other: "Partition", l: int | None = None) -> "Partition":
-        """Pointwise sum, both operands padded to a common length."""
-        n = max(len(self), len(other)) if l is None else l
-        a, b = self.padded(n), other.padded(n)
-        return Partition._trusted(_strip(tuple(x + y for x, y in zip(a, b))))
+        """Pointwise sum; with l, both operands must fit length l."""
+        a, b = self._parts, other._parts
+        if l is not None and max(len(a), len(b)) > l:
+            self.padded(l), other.padded(l)  # raises for the first operand longer than l
+        if len(a) < len(b):
+            a, b = b, a
+        return Partition._trusted(tuple(map(add, a, b)) + a[len(b) :])
 
     def shifted(self, vector: Sequence[int]) -> "Partition | None":
         """Sum with an integer vector, self padded to the vector's length;
@@ -136,6 +134,14 @@ class Partition:
         if n == 0:
             return Partition._trusted(())
         return Partition._trusted(tuple(n * p for p in self._parts))
+
+
+def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column heights of a part tuple, tallest first, in one pass from the last row."""
+    cols: tuple[int, ...] = ()
+    for h in range(len(parts), 0, -1):
+        cols += (h,) * (parts[h - 1] - len(cols))  # the columns that end in row h
+    return cols
 
 
 def _strip(ps: tuple[int, ...]) -> tuple[int, ...]:

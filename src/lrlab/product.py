@@ -14,9 +14,11 @@ Two independent algorithms are kept side by side on purpose:
 The test suite demands that both agree. Memo values are term dicts shared
 with LRElement and never mutated; lrlab starts no threads, so no memo table
 has concurrent readers. The product memo is keyed by the unordered pair of
-factors in lexicographic order; of that pair the factor with the shorter
-expansion is expanded (the second on a tie), so mul(a, b) and mul(b, a) share
-one computation, and a product's peak depends only on the unordered pair.
+factors in lexicographic order, so mul(a, b) and mul(b, a) share one entry.
+An uncapped pair with more columns than rows, a[0] + b[0] > len(a) + len(b),
+is wide: its entry holds the transpose of its conjugate pair's terms, and
+that pair's peak. Any other pair expands the factor with the shorter
+expansion (the second on a tie). A product's peak depends only on its pair.
 
 The vertical-strip step has one memo table per (column height, cap), keyed
 by the part tuple, which _apply looks up inline. Every tuple the step builds
@@ -38,7 +40,7 @@ import os
 
 from .elements import LRElement
 from .errors import BudgetExceeded, InternalCheckError
-from .partitions import Partition, partitions_of
+from .partitions import Partition, conjugate_parts, partitions_of
 
 DEFAULT_TERM_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LRLAB_BUDGET"
@@ -172,8 +174,7 @@ def _expansion(
     key = (b, cap)
     hit = _exp_memo.get(key)
     if hit is None:
-        # column heights of b, tallest first
-        cols = tuple(sum(1 for p in b if p > j) for j in range(b[0] if b else 0))
+        cols = conjugate_parts(b)  # column heights of b, tallest first
         cross, peak = _apply({(): 1}, {cols: 1}, cap, budget)
         if cross.get(b) != 1:
             raise InternalCheckError(f"column product of {b} is not unitriangular")
@@ -191,12 +192,20 @@ def _expansion(
 
 def _mul_parts(
     a: tuple[int, ...], b: tuple[int, ...], cap: int | None, budget: int
-) -> dict[tuple[int, ...], int]:
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Memo entry (terms, peak) of the product of two part tuples."""
     if b < a:  # the product commutes: one memo entry per unordered pair
         a, b = b, a
     key = (a, b, cap)
     hit = _mul_memo.get(key)
-    if hit is None:
+    if hit is None and cap is None and sum(a[:1] + b[:1]) > len(a) + len(b):
+        # wide, more columns than rows: s_a s_b is the transpose of s_a' s_b', whose
+        # pair is not wide; the entry holds the transposed terms and that pair's peak
+        terms, peak = _mul_parts(conjugate_parts(a), conjugate_parts(b), None, budget)
+        canon = _canon.setdefault
+        terms = {canon(t, t): m for t, m in zip(map(conjugate_parts, terms), terms.values())}
+        hit = _mul_memo[key] = (terms, peak)
+    elif hit is None:
         exp_a, peak_a = _expansion(a, cap, budget)
         exp_b, peak_b = _expansion(b, cap, budget)
         # expand the factor with the shorter expansion, on a tie the second
@@ -205,12 +214,12 @@ def _mul_parts(
         _check_nonnegative(out, f"{a} x {b}")
         hit = _mul_memo[key] = (out, max(peak, peak_a, peak_b))
     _check_budget(hit[1], budget)
-    return hit[0]
+    return hit
 
 
 def mul(a: Partition, b: Partition, cap: int | None = None, budget: int | None = None) -> LRElement:
     """Product of two basis partitions (signed column expansion)."""
-    terms = _mul_parts(a.parts, b.parts, cap, term_budget(budget))
+    terms, _ = _mul_parts(a.parts, b.parts, cap, term_budget(budget))
     return LRElement._from_raw(terms, cap)
 
 

@@ -48,6 +48,15 @@ class TestParsing:
             with pytest.raises(UsageError):
                 parse_partition(bad)
 
+    # a trailing newline once passed the pattern and failed in int(); an
+    # Arabic-Indic three once parsed as [3]
+    @pytest.mark.parametrize("literal, shown", [("[2,1]\n", r"'[2,1]\n'"), ("[\u0663]", "'[\u0663]'")])
+    def test_trailing_newline_and_non_ascii_digits_are_bad_literals(self, capsys, literal, shown):
+        assert main(["dominance", literal, "[1]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad partition literal {shown}; expected like [4,2,1] or []\n"
+
 
 class TestMulAndPower:
     def test_mul_table(self, capsys):

@@ -420,6 +420,10 @@ PEAKED_CALLS = {
     # one unordered pair in both orders: each one's "others" run is a mirrored hit
     "mul_2_22": lambda budget: mul(P(2), P(2, 2), budget=budget),
     "mul_22_2": lambda budget: mul(P(2, 2), P(2), budget=budget),
+    # a wide pair and its conjugate pair: each one's "others" run is a conjugate
+    # hit whose peak is above its size
+    "mul_11_41": lambda budget: mul(P(1, 1), P(4, 1), budget=budget),
+    "mul_2_2111": lambda budget: mul(P(2), P(2, 1, 1, 1), budget=budget),
     "mul_321_1": lambda budget: mul(P(3, 2, 1), P(1), budget=budget),
     "mul_1_321": lambda budget: mul(P(1), P(3, 2, 1), budget=budget),
     "mul_element_zero": lambda budget: mul_element(LRElement.zero(), P(3, 2, 1), budget=budget),
@@ -431,8 +435,10 @@ PEAKS = {
     "mul_element": (12, 11),
     "power": (66, 63),
     "power_capped": (18, 18),
-    "mul_2_22": (7, 3),
-    "mul_22_2": (7, 3),
+    "mul_2_22": (3, 3),
+    "mul_22_2": (3, 3),
+    "mul_11_41": (5, 4),
+    "mul_2_2111": (5, 4),
     "mul_321_1": (6, 4),
     "mul_1_321": (6, 4),
     "mul_element_zero": (6, 0),
@@ -488,14 +494,15 @@ class TestUnorderedProductMemo:
         clear_caches()
         assert mul(P(2), P(2, 2))._terms is mul(P(2, 2), P(2))._terms
         assert mul(P(3, 1), P(2), cap=2)._terms is mul(P(2), P(3, 1), cap=2)._terms
-        assert len(product._mul_memo) == 2
+        assert len(product._mul_memo) == 3  # (2) x (2,2) is wide: its conjugate pair has an entry too
         clear_caches()
 
     def test_smaller_fills_one_entry_per_unordered_pair(self):
-        # an ordered-pair key fills 3,278 entries here
+        # an ordered-pair key fills 3,278 entries here; each wide pair's entry
+        # sits beside its conjugate pair's
         clear_caches()
         verify_lemma("SMALLER", {"max_weight": 8})
-        assert len(product._mul_memo) == 1_668
+        assert len(product._mul_memo) == 1_993
         clear_caches()
 
 
@@ -555,6 +562,26 @@ class TestDifferential:
                         clear_caches()
                         first, mirrored = mul(x, y, cap=cap), mul(y, x, cap=cap)
                         assert first == mirrored == want, (x, y, cap)
+        clear_caches()
+
+    def test_wide_pairs_match_tableau_oracle(self):
+        # every uncapped pair with more columns than rows, of weight 9 to 12 and
+        # factors of weight 1 to 11, with cold memos and with its conjugate
+        # pair's product computed first
+        pool = list(partitions_up_to(11))[1:]
+        wide = 0
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                if not 9 <= a.weight + b.weight <= 12 or a[0] + b[0] <= len(a) + len(b):
+                    continue
+                wide += 1
+                want = mul_tableau(a, b)
+                for conjugate_first in (False, True):
+                    clear_caches()
+                    if conjugate_first:
+                        mul(a.conjugate(), b.conjugate())
+                    assert mul(a, b) == mul(b, a) == want, (a, b, conjugate_first)
+        assert wide == 514
         clear_caches()
 
     @fixed_profile

@@ -1,18 +1,20 @@
 """Tuple-based dominance and chain code against reference copies of the
-set-based code it replaced.
+set-based code it replaced, and Partition.plus against its padded version.
 
 Each reference below is the earlier implementation, verbatim apart from its
 name; the chain check takes its sequence as an argument instead of calling
-interpolating_sequence. The current code must agree with it exactly: the
-same Dominance member, the same chain or NotComparable message, the same
-one-cell pair list, and the same failure reason for hand-made chains.
+interpolating_sequence, and the plus method is a function of its operands.
+The current code must agree with it exactly: the same Dominance member, the
+same chain or NotComparable message, the same one-cell pair list, the same
+failure reason for hand-made chains, and the same sum or InvalidPartition
+message.
 """
 
 import pytest
 
 import lrlab.verify as verify_mod
 from lrlab import Dominance, Partition, diagram_difference, partitions_of, partitions_up_to
-from lrlab.errors import NotComparable
+from lrlab.errors import InvalidPartition, NotComparable
 from lrlab.partitions import _strip, dominance_compare, interpolating_sequence
 
 
@@ -86,6 +88,33 @@ def _ref_chain_reason(a: Partition, b: Partition, seq: list[Partition]) -> str |
             if not di <= only_a or not dj <= only_b:
                 return f"cells of step {i}->{jdx} leave the symmetric difference"
     return None
+
+
+def _ref_plus(self: Partition, other: Partition, l: int | None = None) -> Partition:
+    """Pointwise sum, both operands padded to a common length."""
+    n = max(len(self), len(other)) if l is None else l
+    a, b = self.padded(n), other.padded(n)
+    return Partition._trusted(_strip(tuple(x + y for x, y in zip(a, b))))
+
+
+def _sum_or_error(fn, a, b, l):
+    try:
+        return fn(a, b, l)
+    except InvalidPartition as exc:
+        return str(exc)
+
+
+def test_plus_all_pairs_to_weight_7():
+    pool = list(partitions_up_to(7))
+    refused = 0
+    for a in pool:
+        for b in pool:
+            for l in (None, *range(9)):
+                want = _sum_or_error(_ref_plus, a, b, l)
+                got = _sum_or_error(Partition.plus, a, b, l)
+                assert got == want and type(got) is type(want), (a, b, l)
+                refused += isinstance(want, str)
+    assert refused > 0
 
 
 def test_dominance_compare_all_pairs_to_weight_9():
