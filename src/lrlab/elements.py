@@ -19,6 +19,12 @@ from .errors import CapMismatch
 from .partitions import EMPTY, Partition
 
 
+def check_cap(cap: int | None) -> None:
+    """Raise ValueError naming a cap that is negative; None means no cap."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"negative cap {cap}")
+
+
 class LRElement:
     __slots__ = ("_terms", "_cap")
 
@@ -27,6 +33,7 @@ class LRElement:
         terms: Mapping[Partition, int] | Iterable[tuple[Partition, int]] = (),
         cap: int | None = None,
     ):
+        check_cap(cap)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, ...], int] = {}
         for p, m in items:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .elements import LRElement
+from .elements import LRElement, check_cap
 from .errors import BudgetExceeded, InternalCheckError
 from .partitions import Partition, conjugate_parts, partitions_of
 
@@ -219,6 +219,7 @@ def _mul_parts(
 
 def mul(a: Partition, b: Partition, cap: int | None = None, budget: int | None = None) -> LRElement:
     """Product of two basis partitions (signed column expansion)."""
+    check_cap(cap)
     terms, _ = _mul_parts(a.parts, b.parts, cap, term_budget(budget))
     return LRElement._from_raw(terms, cap)
 
@@ -227,6 +228,7 @@ def mul_by_column(a: Partition, r: int, cap: int | None = None) -> LRElement:
     """Product with a single column of height r (vertical-strip expansion)."""
     if r < 0:
         raise ValueError("negative column height")
+    check_cap(cap)
     return LRElement._from_raw({t: 1 for t in _pieri(a.parts, r, cap)}, cap)
 
 
@@ -235,6 +237,7 @@ def mul_element(m: LRElement, b: Partition, budget: int | None = None) -> LRElem
     bud = term_budget(budget)
     exp, _ = _expansion(b.parts, m.cap, bud)
     out, _ = _apply(m._terms, exp, m.cap, bud)
+    _check_nonnegative(out, f"element x {b}")
     return LRElement._from_raw(out, m.cap)
 
 
@@ -254,6 +257,7 @@ def tensor_power(
     """
     if n < 0:
         raise ValueError("negative exponent")
+    check_cap(cap)
     bud = term_budget(budget)
     parts = a.parts
     hit = None

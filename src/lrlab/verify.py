@@ -4,10 +4,12 @@ Each suite is one generator whose keyword-only parameters are its bounds;
 the term budget is the product layer's (LRLAB_BUDGET or its default). A
 suite enumerates every instance that satisfies its hypotheses inside the
 bounds, checks the claimed containment or equality there, with exact
-arithmetic, and yields the instance record together with a failure reason,
-or None when the claim holds. verify_lemma counts the instances and keeps
-the failure records in enumeration order, so a report is byte-stable and
-each recorded failure can be replayed from its record alone.
+arithmetic, and yields the instance, a dict of the values it already holds
+(partitions, ints, part tuples), together with its failure reason, or None
+when the claim holds. verify_lemma counts the instances and writes only the
+failing ones as records, in enumeration order, with partitions as part
+lists; so a report is byte-stable and each recorded failure can be replayed
+from its record alone.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ from .subdivisions import (
 )
 
 Checked = Iterator[tuple[dict, str | None]]
-
-
-def _lp(p: Partition) -> list[int]:
-    return list(p.parts)
 
 
 def _distance_one_pairs(w: int, max_len: int | None = None):
@@ -85,7 +83,7 @@ def _smaller(*, max_weight=6) -> Checked:
             reason = None
             if mul(a1, c1)[a2.plus(c2)] < 1:
                 reason = f"{a2}+{c2} missing from {a1}x{c1}"
-            yield {"A1": _lp(a1), "A2": _lp(a2), "C1": _lp(c1), "C2": _lp(c2)}, reason
+            yield {"A1": a1, "A2": a2, "C1": c1, "C2": c2}, reason
 
 
 def _chi(*, max_weight=5, max_l=3) -> Checked:
@@ -98,7 +96,7 @@ def _chi(*, max_weight=5, max_l=3) -> Checked:
                 reason = None
                 if mul(p, b, cap=l)[a] < 1:
                     reason = f"{a} missing from {p}x{b} at length {l}"
-                yield {"l": l, "A": _lp(a), "B": _lp(b), "shifted": _lp(p)}, reason
+                yield {"l": l, "A": a, "B": b, "shifted": p}, reason
 
 
 def _atensorl(*, max_weight=5, max_l=3) -> Checked:
@@ -113,7 +111,7 @@ def _atensorl(*, max_weight=5, max_l=3) -> Checked:
                 reason = f"shifted target of {a} is not a partition"
             elif tensor_power(a, l - 1, cap=l)[shifted] < 1:
                 reason = f"{shifted} missing from {a}^{l - 1}"
-            yield {"l": l, "A": _lp(a)}, reason
+            yield {"l": l, "A": a}, reason
 
 
 def _exchange(*, max_l=5) -> Checked:
@@ -145,7 +143,7 @@ def _g_in_tensor(*, max_weight=4, max_l=3) -> Checked:
                     reason = f"shifted generator of {a} with {j} is not a partition"
                 elif tensor_power(a, big_l - 1, cap=l)[shifted] < 1:
                     reason = f"{shifted} missing from {a}^{big_l - 1}"
-                yield {"l": l, "mask": j.mask, "A": _lp(a)}, reason
+                yield {"l": l, "mask": j.mask, "A": a}, reason
 
 
 def _h_in_tensor(*, max_weight=4, max_l=3) -> Checked:
@@ -166,7 +164,7 @@ def _h_in_tensor(*, max_weight=4, max_l=3) -> Checked:
                             )
                         elif tensor_power(a, big_l, cap=l)[h] < 1:
                             reason = f"{h} missing from {a}^{big_l}"
-                        record = {"l": l, "mask": j.mask, "A": _lp(a), "beta": beta, "delta": delta}
+                        record = {"l": l, "mask": j.mask, "A": a, "beta": beta, "delta": delta}
                         yield record, reason
 
 
@@ -191,15 +189,15 @@ def _h_mult_p(*, max_weight=4, max_l=3, max_weight_p=4) -> Checked:
                         target = gen.plus(p_lo, l)
                         reason = None
                         if mul(h, p_hi, cap=l)[target] < 1:
-                            reason = f"{target} missing from {h}x{_lp(p_hi)} at length {l}"
+                            reason = f"{target} missing from {h}x{p_hi} at length {l}"
                         record = {
                             "l": l,
                             "mask": j.mask,
-                            "A": _lp(a),
+                            "A": a,
                             "m": m,
                             "n": n,
-                            "P": _lp(p_hi),
-                            "P2": _lp(p_lo),
+                            "P": p_hi,
+                            "P2": p_lo,
                         }
                         yield record, reason
 
@@ -219,7 +217,7 @@ def _a_mult_pp(*, max_weight=4, max_l=3, max_k=2) -> Checked:
                     reason = None
                     if tensor_power(a, n, cap=l)[target] < 1:
                         reason = f"{target} missing from {a}^{n}"
-                    yield {"l": l, "mask": j.mask, "A": _lp(a), "B": _lp(b), "k": k}, reason
+                    yield {"l": l, "mask": j.mask, "A": a, "B": b, "k": k}, reason
 
 
 def _mult_plus(*, max_weight=6) -> Checked:
@@ -241,14 +239,7 @@ def _mult_plus(*, max_weight=6) -> Checked:
                             reason = None
                             if big[a1.plus(a2)] < 1:
                                 reason = f"{a1.plus(a2)} missing from ({b1}+{b2})x({c1}+{c2})"
-                            record = {
-                                "B1": _lp(b1),
-                                "C1": _lp(c1),
-                                "B2": _lp(b2),
-                                "C2": _lp(c2),
-                                "A1": _lp(a1),
-                                "A2": _lp(a2),
-                            }
+                            record = {"B1": b1, "C1": c1, "B2": b2, "C2": c2, "A1": a1, "A2": a2}
                             yield record, reason
 
 
@@ -266,7 +257,7 @@ def _mult_inert(*, max_weight=6) -> Checked:
                 reason = None
                 if not rhs.leq(lhs):
                     reason = f"{a}+({b}x{c}) is not below ({a}+{b})x{c}"
-                yield {"A": _lp(a), "B": _lp(b), "C": _lp(c)}, reason
+                yield {"A": a, "B": b, "C": c}, reason
 
 
 def _mult_circ(*, max_weight=6, max_l=3) -> Checked:
@@ -290,14 +281,7 @@ def _mult_circ(*, max_weight=6, max_l=3) -> Checked:
                             reason = f"concatenation {flat} is not a partition"
                         elif whole[Partition(flat)] < 1:
                             reason = f"{Partition(flat)} missing from {b}x{c} at length {l}"
-                        record = {
-                            "l": l,
-                            "mask": j.mask,
-                            "B": _lp(b),
-                            "C": _lp(c),
-                            "blocks": [list(q) for q in chosen],
-                        }
-                        yield record, reason
+                        yield {"l": l, "mask": j.mask, "B": b, "C": c, "blocks": chosen}, reason
 
 
 def _chain_reason(a: Partition, b: Partition) -> str | None:
@@ -343,7 +327,7 @@ def _pseq(*, max_weight=8) -> Checked:
         for a in pool:
             for b in pool:
                 if dominates(a, b):
-                    yield {"A": _lp(a), "B": _lp(b)}, _chain_reason(a, b)
+                    yield {"A": a, "B": b}, _chain_reason(a, b)
 
 
 def _chi_symmetry(*, max_weight=4, max_l=3, max_shift=4) -> Checked:
@@ -370,7 +354,7 @@ def _chi_symmetry(*, max_weight=4, max_l=3, max_shift=4) -> Checked:
                     image[q] = image.get(q, 0) + mult
                 if reason is None and lhs != LRElement(image, cap=l):
                     reason = f"symmetry image of {a}x{b} differs from {pa}x{pb}"
-                yield {"l": l, "A": _lp(a), "B": _lp(b), "m": m, "n": n}, reason
+                yield {"l": l, "A": a, "B": b, "m": m, "n": n}, reason
 
 
 def _highest_term(*, max_weight=6) -> Checked:
@@ -387,7 +371,7 @@ def _highest_term(*, max_weight=6) -> Checked:
                     if c != top and dominance_compare(top, c) is not Dominance.GREATER:
                         reason = f"term {c} of {a}x{b} is not strictly below {top}"
                         break
-            yield {"A": _lp(a), "B": _lp(b)}, reason
+            yield {"A": a, "B": b}, reason
 
 
 _SUITES: dict[str, Callable[..., Checked]] = {
@@ -418,6 +402,20 @@ def default_bounds(lemma_id: str) -> dict[str, int]:
     return dict(_SUITES[lemma_id].__kwdefaults__)
 
 
+def _failure_record(instance: dict, reason: str) -> dict:
+    """The JSON-ready record of a failing instance: a partition as its part
+    list, a tuple as a list item by item, any other value as it is."""
+
+    def write(value):
+        if isinstance(value, Partition):
+            return list(value.parts)
+        if isinstance(value, tuple):
+            return [write(v) for v in value]
+        return value
+
+    return {**{k: write(v) for k, v in instance.items()}, "reason": reason}
+
+
 def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> VerificationReport:
     """Run one suite and report sweep size, failures, and elapsed time.
     Bounds other suites declare are ignored; any other name raises ValueError."""
@@ -429,10 +427,10 @@ def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> Verific
     start = perf_counter()
     cases = 0
     failures = []
-    for record, reason in _SUITES[lemma_id](**eff):
+    for instance, reason in _SUITES[lemma_id](**eff):
         cases += 1
         if reason is not None:
-            failures.append({**record, "reason": reason})
+            failures.append(_failure_record(instance, reason))
     return VerificationReport(
         lemma_id=lemma_id,
         bounds=eff,

@@ -33,7 +33,7 @@ from lrlab import (
     verify_lemma,
 )
 from lrlab import product
-from lrlab.errors import BudgetExceeded
+from lrlab.errors import BudgetExceeded, InternalCheckError
 from lrlab.powercache import PowerCache
 
 
@@ -525,6 +525,38 @@ class TestBudgetValue:
         assert term_budget() == 0
         monkeypatch.setenv("LRLAB_BUDGET", " 7 ")
         assert term_budget() == 7
+
+
+NEGATIVE_CAP_CALLS = {
+    "mul": lambda: mul(P(2, 1), P(1), cap=-1),
+    "tensor_power": lambda: tensor_power(P(2, 1), 3, cap=-1),
+    "mul_by_column": lambda: mul_by_column(P(2, 1), 2, cap=-1),
+    "mul_tableau": lambda: mul_tableau(P(2, 1), P(1), cap=-1),
+    "LRElement": lambda: LRElement({P(1): 1}, cap=-1),
+}
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("call", NEGATIVE_CAP_CALLS.values(), ids=NEGATIVE_CAP_CALLS)
+    def test_negative_cap_is_refused(self, call):
+        with pytest.raises(ValueError, match="^negative cap -1$"):
+            call()
+
+    def test_negative_multiplicity_is_an_internal_error(self, monkeypatch):
+        # an expansion with a negative term makes every product negative; each
+        # entry point checks the result it builds
+        clear_caches()
+        monkeypatch.setattr(product, "_expansion", lambda *args: ({(1,): -1}, 1))
+        calls = [
+            lambda: mul(P(2, 1), P(1)),
+            lambda: tensor_power(P(2, 1), 2),
+            lambda: mul_element(LRElement({P(2): 1}), P(1)),
+        ]
+        for call in calls:
+            with pytest.raises(InternalCheckError, match="^negative multiplicity in "):
+                call()
+        monkeypatch.undo()
+        clear_caches()
 
 
 POOL_7 = list(partitions_up_to(7))

@@ -209,6 +209,59 @@ def test_failure_records_match_golden(fault):
     assert fault_fingerprints(fault) == golden
 
 
+def _count_writes(mp):
+    """Reasons of the records verify_lemma writes while mp's patch holds."""
+    calls = []
+    write = verify_mod._failure_record
+
+    def counted(instance, reason):
+        calls.append(reason)
+        return write(instance, reason)
+
+    mp.setattr(verify_mod, "_failure_record", counted)
+    return calls
+
+
+def test_passing_sweep_writes_no_record(monkeypatch):
+    calls = _count_writes(monkeypatch)
+    rep = verify_lemma("SMALLER", {"max_weight": 6})
+    assert rep.status == "PASS" and rep.cases_checked > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_failures_are_written_once_as_plain_json(monkeypatch, fault):
+    # a tuple left in a record dumps as a list, so the golden digests cannot see it
+    for name, fake in FAULTS[fault].items():
+        monkeypatch.setattr(verify_mod, name, fake)
+    calls = _count_writes(monkeypatch)
+    for lid in LEMMA_IDS:
+        calls.clear()
+        out = verify_lemma(lid, SMALL_BOUNDS[lid]).to_json()
+        assert out == json.loads(json.dumps(out)), lid
+        assert calls == [f["reason"] for f in out["failures"]], lid
+
+
+def test_h_mult_p_reason_writes_the_move_as_a_partition(monkeypatch):
+    # at SMALL_BOUNDS every failing move has one row, where a list and a
+    # partition print alike; here sixteen moves have two
+    monkeypatch.setattr(verify_mod, "mul", _zero)
+    monkeypatch.setattr(verify_mod, "tensor_power", _zero)
+    rep = verify_lemma("H_MULT_P", {"max_weight": 2, "max_l": 3, "max_weight_p": 3})
+    assert {
+        "l": 3,
+        "mask": 0,
+        "A": [1],
+        "m": 1,
+        "n": 1,
+        "P": [2, 1],
+        "P2": [1, 1, 1],
+        "reason": "[3,3,3] missing from [3,2,1]x[2,1] at length 3",
+    } in rep.failures
+    for f in rep.failures:
+        assert f["reason"].endswith(f"x{Partition(f['P'])} at length {f['l']}"), f
+
+
 # ------------------------------------------------------- chain check reasons
 
 
