@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library operations and emit either plain
 text or the JSON schemas of the library types. Output is byte-deterministic
 for a fixed build and input; exit codes: 0 success or PASS, 1 a verification
-failed or a claimed witness does not exist, 2 usage error, unusable cache
-path or invalid LRLAB_BUDGET, 3 term budget or memory exhausted.
+failed or a claimed witness does not exist, 2 usage error (any other LRLabError
+but InternalCheckError, a ValueError or an OSError), 3 budget or memory exhausted.
 
 Each subcommand imports only the layers it runs, when it runs: a cold
 `dominance` or `interpolate` loads `errors` and `partitions` alone, and
@@ -20,15 +20,11 @@ import sys
 
 from .errors import (
     BudgetExceeded,
-    HypothesisFails,
-    IndexOutOfRange,
+    InternalCheckError,
     InvalidPartition,
     LRLabError,
     NoDecomposition,
-    NotComparable,
     NotFoundWithin,
-    UnknownLemma,
-    UnsupportedLength,
 )
 from .partitions import Partition, dominance_compare, interpolating_sequence
 
@@ -350,17 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NoDecomposition, NotFoundWithin) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (
-        UsageError,
-        InvalidPartition,
-        NotComparable,
-        IndexOutOfRange,
-        UnknownLemma,
-        HypothesisFails,
-        UnsupportedLength,
-        ValueError,
-        OSError,
-    ) as exc:
+    except InternalCheckError:
+        raise  # a bug, not bad input: keep the traceback
+    except (LRLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

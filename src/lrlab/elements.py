@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapMismatch
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, Partition, as_int
 
 
 def check_cap(cap: int | None) -> None:
@@ -39,7 +39,7 @@ class LRElement:
         for p, m in items:
             if not isinstance(p, Partition):
                 p = Partition(p)
-            m = int(m)
+            m = as_int(m, "multiplicity")
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for {p}")
             if m == 0:

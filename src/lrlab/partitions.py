@@ -9,7 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import zip_longest
 from math import lcm
-from operator import add
+from operator import add, index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidPartition, NotComparable, NotWeaklyDecreasing
@@ -33,20 +33,19 @@ class Dominance(Enum):
 class Partition:
     """Weakly decreasing sequence of positive integers, in canonical form.
 
-    Trailing zeros are stripped on construction and the empty sequence is the
-    unit. Indexing past the end reads 0, which keeps prefix-sum arithmetic
-    free of explicit padding.
+    Parts must be integers, trailing zeros are stripped on construction and
+    the empty sequence is the unit. Indexing past the end reads 0, which keeps
+    prefix-sum arithmetic free of explicit padding.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(as_int(p, "part", InvalidPartition) for p in parts)
         for x, y in zip(ps, ps[1:]):
             if x < y:
                 raise NotWeaklyDecreasing(f"{list(ps)} is not weakly decreasing")
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
+        ps = _strip(ps)
         if ps and ps[-1] < 0:
             raise InvalidPartition(f"{list(ps)} has negative parts")
         self._parts = ps
@@ -142,6 +141,14 @@ def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     for h in range(len(parts), 0, -1):
         cols += (h,) * (parts[h - 1] - len(cols))  # the columns that end in row h
     return cols
+
+
+def as_int(value, what: str, error: type[Exception] = ValueError) -> int:
+    """value as an int if operator.index accepts it, else error naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 def _strip(ps: tuple[int, ...]) -> tuple[int, ...]:

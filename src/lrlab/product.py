@@ -250,30 +250,27 @@ def tensor_power(
 ) -> LRElement:
     """n-th power of a basis partition, cap applied at every step.
 
-    Intermediate powers are memoized per (partition, k, cap); an optional
-    on-disk cache object (see powercache) is consulted first and updated with
-    every power computed along the way. Each step applies the expansion of
-    the partition to the whole previous power at once.
+    Intermediate powers are memoized per (partition, k, cap), the unit power
+    k = 0 always, so it is never read from the optional on-disk cache (see
+    powercache). One walk goes down from n to the highest power that the memo
+    or the cache holds, and the cache gets every power computed along the way.
+    Each step applies the expansion of the partition to the whole previous
+    power at once.
     """
     if n < 0:
         raise ValueError("negative exponent")
     check_cap(cap)
     bud = term_budget(budget)
     parts = a.parts
-    hit = None
-    k0 = 0
-    for k in range(n, -1, -1):
-        hit = _power_memo.get((parts, k, cap))
-        if hit is None and cache is not None:
-            got = cache.get(parts, k, cap)
-            if got is not None:
-                hit = _power_memo[(parts, k, cap)] = (got, len(got))
-        if hit is not None:
-            k0 = k
-            break
-    if hit is None:
-        hit = _power_memo[(parts, 0, cap)] = ({(): 1}, 1)
-    cur, peak = hit
+    _power_memo.setdefault((parts, 0, cap), ({(): 1}, 1))
+    k0 = n
+    while (parts, k0, cap) not in _power_memo:
+        got = None if cache is None else cache.get(parts, k0, cap)
+        if got is None:
+            k0 -= 1
+        else:
+            _power_memo[(parts, k0, cap)] = (got, len(got))
+    cur, peak = _power_memo[(parts, k0, cap)]
     _check_budget(peak, bud)
     if k0 < n:
         exp, exp_peak = _expansion(parts, cap, bud)

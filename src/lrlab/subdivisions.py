@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange
-from .partitions import Partition, lcm_upto
+from .partitions import Partition, as_int, lcm_upto
 
 
 class Subdivision:
@@ -17,7 +17,7 @@ class Subdivision:
     __slots__ = ("_sizes", "_starts")
 
     def __init__(self, sizes: Iterable[int]):
-        sz = tuple(int(s) for s in sizes)
+        sz = tuple(as_int(s, "interval size") for s in sizes)
         if not sz or any(s < 1 for s in sz):
             raise ValueError(f"interval sizes must be positive, got {list(sz)}")
         starts = []

@@ -10,6 +10,10 @@ when the claim holds. verify_lemma counts the instances and writes only the
 failing ones as records, in enumeration order, with partitions as part
 lists; so a report is byte-stable and each recorded failure can be replayed
 from its record alone.
+
+A suite asks for one coefficient of a power or a product through
+_missing_from_power or _missing_from_product, which word a miss; MULT_CIRC
+and MULT_PLUS keep the products they read many coefficients from.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .partitions import (
 from .product import mul, tensor_power
 from .reports import VerificationReport
 from .subdivisions import (
+    Subdivision,
     all_subdivisions,
     blockwise_reversed_negation,
     cone_generator,
@@ -67,6 +72,23 @@ def _by_length(max_weight: int, max_l: int) -> Iterator[tuple[int, list[Partitio
         yield l, list(partitions_up_to(max_weight, max_len=l))
 
 
+def _by_subdivision(max_weight: int, max_l: int) -> Iterator[tuple[int, Subdivision, list[Partition]]]:
+    """(l, J, pool) for every subdivision J of {1..l}, l and pool as in _by_length."""
+    for l, pool in _by_length(max_weight, max_l):
+        for j in all_subdivisions(l):
+            yield l, j, pool
+
+
+def _missing_from_power(target: Partition, a: Partition, n: int, l: int) -> str | None:
+    """None when target is a term of a^n under the length cap l, else the reason."""
+    return None if tensor_power(a, n, cap=l)[target] else f"{target} missing from {a}^{n}"
+
+
+def _missing_from_product(target: Partition, a: Partition, b: Partition, l: int) -> str | None:
+    """None when target is a term of a x b under the length cap l, else the reason."""
+    return None if mul(a, b, cap=l)[target] else f"{target} missing from {a}x{b} at length {l}"
+
+
 # ---------------------------------------------------------------- suites
 
 
@@ -93,10 +115,7 @@ def _chi(*, max_weight=5, max_l=3) -> Checked:
                 p = a.shifted(reversed_negation(b, l))
                 if p is None:
                     continue
-                reason = None
-                if mul(p, b, cap=l)[a] < 1:
-                    reason = f"{a} missing from {p}x{b} at length {l}"
-                yield {"l": l, "A": a, "B": b, "shifted": p}, reason
+                yield {"l": l, "A": a, "B": b, "shifted": p}, _missing_from_product(a, p, b, l)
 
 
 def _atensorl(*, max_weight=5, max_l=3) -> Checked:
@@ -104,13 +123,11 @@ def _atensorl(*, max_weight=5, max_l=3) -> Checked:
         for a in pool:
             full = Partition([a.weight] * l)
             shifted = full.shifted(reversed_negation(a, l))
-            reason = None
-            if tensor_power(a, l, cap=l)[full] < 1:
-                reason = f"{full} missing from {a}^{l}"
-            elif shifted is None:
+            reason = _missing_from_power(full, a, l, l)
+            if reason is None and shifted is None:
                 reason = f"shifted target of {a} is not a partition"
-            elif tensor_power(a, l - 1, cap=l)[shifted] < 1:
-                reason = f"{shifted} missing from {a}^{l - 1}"
+            elif reason is None:
+                reason = _missing_from_power(shifted, a, l - 1, l)
             yield {"l": l, "A": a}, reason
 
 
@@ -123,49 +140,40 @@ def _exchange(*, max_l=5) -> Checked:
             right = single_column(s).plus(single_column(l - u), l)
             top = single_column(l).plus(single_column(r + s - 1), l)
             target = top.plus(single_column(l - t - u + 1), l)
-            reason = None
-            if mul(left, right, cap=l)[target] < 1:
-                reason = f"{target} missing from {left}x{right} at length {l}"
+            reason = _missing_from_product(target, left, right, l)
             yield {"l": l, "r": r, "s": s, "t": t, "u": u}, reason
 
 
 def _g_in_tensor(*, max_weight=4, max_l=3) -> Checked:
-    for l, pool in _by_length(max_weight, max_l):
+    for l, j, pool in _by_subdivision(max_weight, max_l):
         big_l = lcm_upto(l)
-        for j in all_subdivisions(l):
-            for a in pool:
-                gen = cone_generator(a, j)
-                shifted = gen.shifted(blockwise_reversed_negation(a, j))
-                reason = None
-                if tensor_power(a, big_l, cap=l)[gen] < 1:
-                    reason = f"{gen} missing from {a}^{big_l}"
-                elif shifted is None:
-                    reason = f"shifted generator of {a} with {j} is not a partition"
-                elif tensor_power(a, big_l - 1, cap=l)[shifted] < 1:
-                    reason = f"{shifted} missing from {a}^{big_l - 1}"
-                yield {"l": l, "mask": j.mask, "A": a}, reason
+        for a in pool:
+            gen = cone_generator(a, j)
+            shifted = gen.shifted(blockwise_reversed_negation(a, j))
+            reason = _missing_from_power(gen, a, big_l, l)
+            if reason is None and shifted is None:
+                reason = f"shifted generator of {a} with {j} is not a partition"
+            elif reason is None:
+                reason = _missing_from_power(shifted, a, big_l - 1, l)
+            yield {"l": l, "mask": j.mask, "A": a}, reason
 
 
 def _h_in_tensor(*, max_weight=4, max_l=3) -> Checked:
-    for l, pool in _by_length(max_weight, max_l):
+    for l, j, pool in _by_subdivision(max_weight, max_l):
         big_l = lcm_upto(l)
-        for j in all_subdivisions(l):
-            for a in pool[1:]:  # the empty partition comes first and has no columns
-                conj = a.conjugate()
-                for beta in range(2, a.parts[0] + 1):
-                    for delta in range(1, beta):
-                        if conj[delta - 1] + 1 > l:
-                            continue
-                        m, n, h = perturbed_generator(a, j, beta, delta)
-                        reason = None
-                        if h is None:
-                            reason = (
-                                f"perturbation (m={m}, n={n}) of {a} with {j} is not a partition"
-                            )
-                        elif tensor_power(a, big_l, cap=l)[h] < 1:
-                            reason = f"{h} missing from {a}^{big_l}"
-                        record = {"l": l, "mask": j.mask, "A": a, "beta": beta, "delta": delta}
-                        yield record, reason
+        for a in pool[1:]:  # the empty partition comes first and has no columns
+            conj = a.conjugate()
+            for beta in range(2, a.parts[0] + 1):
+                for delta in range(1, beta):
+                    if conj[delta - 1] + 1 > l:
+                        continue
+                    m, n, h = perturbed_generator(a, j, beta, delta)
+                    if h is None:
+                        reason = f"perturbation (m={m}, n={n}) of {a} with {j} is not a partition"
+                    else:
+                        reason = _missing_from_power(h, a, big_l, l)
+                    record = {"l": l, "mask": j.mask, "A": a, "beta": beta, "delta": delta}
+                    yield record, reason
 
 
 def _h_mult_p(*, max_weight=4, max_l=3, max_weight_p=4) -> Checked:
@@ -186,10 +194,7 @@ def _h_mult_p(*, max_weight=4, max_l=3, max_weight_p=4) -> Checked:
                     for p_hi, p_lo, r_hi, r_lo in move_pool:
                         if not (j.block_of(r_hi) <= m and n <= j.block_of(r_lo)):
                             continue
-                        target = gen.plus(p_lo, l)
-                        reason = None
-                        if mul(h, p_hi, cap=l)[target] < 1:
-                            reason = f"{target} missing from {h}x{p_hi} at length {l}"
+                        reason = _missing_from_product(gen.plus(p_lo, l), h, p_hi, l)
                         record = {
                             "l": l,
                             "mask": j.mask,
@@ -203,21 +208,17 @@ def _h_mult_p(*, max_weight=4, max_l=3, max_weight_p=4) -> Checked:
 
 
 def _a_mult_pp(*, max_weight=4, max_l=3, max_k=2) -> Checked:
-    for l, pool in _by_length(max_weight, max_l):
-        for j in all_subdivisions(l):
-            for a in pool:
-                for b in partitions_of(a.weight, max_len=l):
-                    if dominance_compare(a, b) is not Dominance.GREATER:
-                        continue
-                    k = diagram_distance(a, b)
-                    if not 1 <= k <= max_k:
-                        continue
-                    target = cone_generator(a, j).scaled(k).plus(b, l)
-                    n = k * lcm_upto(l) + 1
-                    reason = None
-                    if tensor_power(a, n, cap=l)[target] < 1:
-                        reason = f"{target} missing from {a}^{n}"
-                    yield {"l": l, "mask": j.mask, "A": a, "B": b, "k": k}, reason
+    for l, j, pool in _by_subdivision(max_weight, max_l):
+        for a in pool:
+            for b in partitions_of(a.weight, max_len=l):
+                if dominance_compare(a, b) is not Dominance.GREATER:
+                    continue
+                k = diagram_distance(a, b)
+                if not 1 <= k <= max_k:
+                    continue
+                target = cone_generator(a, j).scaled(k).plus(b, l)
+                reason = _missing_from_power(target, a, k * lcm_upto(l) + 1, l)
+                yield {"l": l, "mask": j.mask, "A": a, "B": b, "k": k}, reason
 
 
 def _mult_plus(*, max_weight=6) -> Checked:
@@ -261,27 +262,26 @@ def _mult_inert(*, max_weight=6) -> Checked:
 
 
 def _mult_circ(*, max_weight=6, max_l=3) -> Checked:
-    for l, pool in _by_length(max_weight, max_l):
-        for j in all_subdivisions(l):
-            for b in pool:
-                for c in pool:
-                    if b.weight + c.weight > max_weight:
-                        break
-                    supports = []
-                    for iv in j.intervals:
-                        block = mul(restrict(b, iv, l), restrict(c, iv, l), cap=len(iv))
-                        supports.append([q.parts for q, _ in block.items()])
-                    whole = mul(b, c, cap=l)
-                    for chosen in product(*supports):
-                        flat = []
-                        for iv, blk in zip(j.intervals, chosen):
-                            flat.extend(blk + (0,) * (len(iv) - len(blk)))
-                        reason = None
-                        if any(x < y for x, y in zip(flat, flat[1:])):
-                            reason = f"concatenation {flat} is not a partition"
-                        elif whole[Partition(flat)] < 1:
-                            reason = f"{Partition(flat)} missing from {b}x{c} at length {l}"
-                        yield {"l": l, "mask": j.mask, "B": b, "C": c, "blocks": chosen}, reason
+    for l, j, pool in _by_subdivision(max_weight, max_l):
+        for b in pool:
+            for c in pool:
+                if b.weight + c.weight > max_weight:
+                    break
+                supports = []
+                for iv in j.intervals:
+                    block = mul(restrict(b, iv, l), restrict(c, iv, l), cap=len(iv))
+                    supports.append([q.parts for q, _ in block.items()])
+                whole = mul(b, c, cap=l)
+                for chosen in product(*supports):
+                    flat = []
+                    for iv, blk in zip(j.intervals, chosen):
+                        flat.extend(blk + (0,) * (len(iv) - len(blk)))
+                    reason = None
+                    if any(x < y for x, y in zip(flat, flat[1:])):
+                        reason = f"concatenation {flat} is not a partition"
+                    elif whole[Partition(flat)] < 1:
+                        reason = f"{Partition(flat)} missing from {b}x{c} at length {l}"
+                    yield {"l": l, "mask": j.mask, "B": b, "C": c, "blocks": chosen}, reason
 
 
 def _chain_reason(a: Partition, b: Partition) -> str | None:
@@ -418,12 +418,16 @@ def _failure_record(instance: dict, reason: str) -> dict:
 
 def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> VerificationReport:
     """Run one suite and report sweep size, failures, and elapsed time.
-    Bounds other suites declare are ignored; any other name raises ValueError."""
+    Bounds other suites declare are ignored; any other name, or any bound
+    that is not a non-negative integer, raises ValueError."""
     bounds = bounds or {}
     eff = {k: bounds.get(k, v) for k, v in default_bounds(lemma_id).items()}
     unknown = sorted(bounds.keys() - _BOUND_NAMES)
     if unknown:
         raise ValueError(f"no suite takes a bound named {', '.join(unknown)}")
+    for name, value in bounds.items():
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
     start = perf_counter()
     cases = 0
     failures = []

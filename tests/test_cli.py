@@ -12,6 +12,7 @@ import pytest
 from lrlab import LRElement, Partition, Subdivision, VerificationReport, clear_caches
 from lrlab.cli import main, parse_partition
 from lrlab.cli import UsageError
+from lrlab.errors import InternalCheckError
 from lrlab.powercache import MAGIC, PowerCache
 from lrlab.reports import ConeCertificate, ExponentSearch, TransferWitness
 
@@ -97,6 +98,15 @@ class TestMulAndPower:
         assert main(["power", "[2,1]", "4"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: out of memory\n"
+
+    def test_internal_check_error_is_not_a_usage_error(self, monkeypatch):
+        # an engine bug keeps its traceback instead of exiting 2 like other lrlab errors
+        def broken(*args, **kwargs):
+            raise InternalCheckError("negative multiplicity in [1] x [1]")
+
+        monkeypatch.setattr("lrlab.product.mul", broken)
+        with pytest.raises(InternalCheckError, match="negative multiplicity"):
+            main(["mul", "[1]", "[1]"])
 
 
 class TestSmallCommands:
@@ -338,6 +348,19 @@ class TestCache:
         capsys.readouterr()
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "add36473845ea27cd841c0cf4fa4d7ce2a2b6acb3be238438bc0c565c800d498"
+
+    def test_corrupt_unit_record_is_never_read(self, tmp_path, capsys):
+        # the record passes the load checks (weight 0, multiplicity at least 1);
+        # read as the unit power, it doubled every multiplicity built on it
+        path = tmp_path / "powers.lrpow"
+        rec = {"partition": [2], "n": 0, "cap": None, "terms": [[[], "2"]]}
+        path.write_text(MAGIC + "\n" + json.dumps(rec) + "\n")
+        assert len(PowerCache(str(path))) == 1
+        clear_caches()
+        fresh = run_cli(capsys, "power", "[2]", "2")
+        assert fresh == (0, "[4] 1\n[3,1] 1\n[2,2] 1\n")
+        clear_caches()
+        assert run_cli(capsys, "power", "[2]", "2", "--cache", str(path)) == fresh
 
     def test_save_to_a_valid_file_appends_without_rename(self, tmp_path, monkeypatch):
         path = tmp_path / "powers.lrpow"

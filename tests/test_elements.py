@@ -16,6 +16,13 @@ def E(d, cap=None):
     return LRElement({P(*k): v for k, v in d.items()}, cap=cap)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("mult", [2.9, "2", 2.0])
+    def test_rejects_a_multiplicity_that_is_not_an_integer(self, mult):
+        with pytest.raises(ValueError, match=f"^multiplicity {mult!r} is not an integer$"):
+            LRElement({P(1): mult})
+
+
 class TestAdd:
     def test_disjoint(self):
         assert E({(2,): 1}) + E({(1, 1): 1}) == E({(2,): 1, (1, 1): 1})

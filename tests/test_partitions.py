@@ -22,7 +22,7 @@ from lrlab import (
     partitions_up_to,
     single_column,
 )
-from lrlab.errors import NotComparable, NotWeaklyDecreasing
+from lrlab.errors import InvalidPartition, NotComparable, NotWeaklyDecreasing
 
 D = Dominance
 
@@ -47,6 +47,15 @@ class TestCanonicalForm:
     def test_rejects_increasing(self):
         with pytest.raises(NotWeaklyDecreasing):
             Partition([1, 2])
+
+    @pytest.mark.parametrize(
+        "parts, shown",
+        [([2.7, 1], "2.7"), (["3"], "'3'"), ([2, None], "None")],
+        ids=["float", "str", "none"],
+    )
+    def test_rejects_a_part_that_is_not_an_integer(self, parts, shown):
+        with pytest.raises(InvalidPartition, match=f"^part {shown} is not an integer$"):
+            Partition(parts)
 
     def test_indexing_past_end_reads_zero(self):
         assert P(3, 1)[5] == 0

@@ -616,6 +616,43 @@ class TestDifferential:
         assert wide == 514
         clear_caches()
 
+    def test_every_product_path_gives_the_same_product(self):
+        # every unordered pair of weight 10 or less, the empty partition included:
+        # each factor that fits the cap, times the column expansion of the other,
+        # gives the terms of mul and of the oracle; _apply assumes that its start
+        # fits the cap, and mul never starts it from a longer factor
+        pool = list(partitions_up_to(10))
+        budget = product.DEFAULT_TERM_BUDGET
+        pairs = checks = 0
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                if a.weight + b.weight > 10:
+                    continue
+                pairs += 1
+                for cap in (None, 0, 1, 2, 3, 4):
+                    want = mul(a, b, cap=cap)
+                    assert want == mul_tableau(a, b, cap=cap), (a, b, cap)
+                    for base, other in ((a, b), (b, a)):
+                        if cap is not None and len(base) > cap:
+                            continue
+                        exp, _ = product._expansion(other.parts, cap, budget)
+                        got, _ = product._apply({base.parts: 1}, exp, cap, budget)
+                        assert got == want._terms, (base, other, cap)
+                        checks += 1
+        assert (pairs, checks) == (617, 4579)
+        clear_caches()
+
+    def test_uncapped_product_is_the_transpose_of_the_conjugate_product(self):
+        # s_a s_b = omega(s_a' s_b') for every unordered pair of weight 12 or less
+        pool = list(partitions_up_to(12))
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                if a.weight + b.weight <= 12:
+                    conj = mul(a.conjugate(), b.conjugate())
+                    want = LRElement({c.conjugate(): m for c, m in conj.items()})
+                    assert mul(a, b) == want, (a, b)
+        clear_caches()
+
     @fixed_profile
     @given(st.sampled_from(list(partitions_up_to(5))), st.integers(0, 6), st.integers(1, 4))
     def test_capped_power_dimension_identity(self, a, n, d):

@@ -50,6 +50,10 @@ class TestSubdivision:
     def test_text_form(self):
         assert str(Subdivision([1, 2])) == "{(1),(2,3)}"
 
+    def test_rejects_a_size_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match=r"^interval size 1\.5 is not an integer$"):
+            Subdivision([1.5, 1])
+
 
 class TestRestrict:
     def test_read_off(self):

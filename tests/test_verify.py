@@ -8,6 +8,7 @@ instances each suite is built from.
 import hashlib
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -77,6 +78,34 @@ def test_bound_that_another_suite_declares_is_ignored():
     rep = verify_lemma("PSEQ", {"max_weight": 3, "max_l": 2, "max_k": 1})
     assert rep.bounds == {"max_weight": 3}
     assert rep.cases_checked == verify_lemma("PSEQ", {"max_weight": 3}).cases_checked
+
+
+@pytest.mark.parametrize(
+    "lemma_id, bounds, shown",
+    [
+        ("CHI", {"max_l": -1}, "max_l must be a non-negative integer, not -1"),
+        ("PSEQ", {"max_weight": 2.5}, "max_weight must be a non-negative integer, not 2.5"),
+        # max_k is declared by A_MULT_PP alone
+        ("CHI", {"max_weight": 2, "max_k": -1}, "max_k must be a non-negative integer, not -1"),
+    ],
+    ids=["negative", "float", "another_suites_bound"],
+)
+def test_bound_that_is_not_a_non_negative_integer_is_refused(monkeypatch, lemma_id, bounds, shown):
+    def no_suite_runs(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify_mod, "mul", no_suite_runs)
+    monkeypatch.setattr(verify_mod, "tensor_power", no_suite_runs)
+    monkeypatch.setattr(verify_mod, "interpolating_sequence", no_suite_runs)
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        verify_lemma(lemma_id, bounds)
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        verify_all(bounds)
+
+
+def test_zero_bound_is_an_empty_sweep():
+    rep = verify_lemma("CHI", {"max_l": 0})
+    assert rep.status == "PASS" and rep.cases_checked == 0
 
 
 def test_default_bounds_is_a_copy():
