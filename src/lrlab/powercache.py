@@ -2,14 +2,21 @@
 
 Plain text: a magic first line, then one JSON record per entry, keyed by
 (partition, exponent, cap), in the order the entries were first saved. A
-file with another header, an unparsable line, two differing records of one
-key, or a record whose terms cannot occur in that power (not a partition,
-longer than the cap, of the wrong weight, or of multiplicity below 1) is
-treated as empty. Opening an empty path, an existing path that cannot be
-read (such as a directory), or one in a missing directory raises OSError. A
-save appends the records the file lacks in one write, cut back if it fails;
-a missing or stale file, or one that does not end in a newline, is rewritten
-through a temporary file and a rename.
+file with another header, an unparsable line, two records of one key with
+different terms, or a record whose terms cannot occur in that power (not a
+partition, longer than the cap, of the wrong weight, or of multiplicity
+below 1) is treated as empty. Parts, exponents and caps are JSON integers;
+a multiplicity is a JSON integer or a string of ASCII digits. Opening an
+empty path, an existing path that cannot be read (such as a directory), or
+one in a missing directory raises OSError.
+
+Opening a file checks every record but keeps each as its line of text;
+`get` turns a record into terms the first time it is asked for it, so an
+open costs one JSON parse per line and only the records read are held as
+terms. `put` keeps the dict it is given, not a copy, so the caller must not
+change it afterwards. A save appends the records the file lacks in one
+write, cut back if it fails; a missing or stale file, or one that does not
+end in a newline, is rewritten through a temporary file and a rename.
 """
 
 from __future__ import annotations
@@ -17,31 +24,56 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from itertools import chain
 
 MAGIC = "LRPOW1"
 
 Key = tuple[tuple[int, ...], int, int | None]
+Terms = dict[tuple[int, ...], int]
 
 
-def _check_terms(terms: dict[tuple[int, ...], int], weight: int, cap: int | None) -> None:
-    """Raise ValueError unless every term is a partition of the power's weight,
-    within the cap, with a positive multiplicity."""
-    for t, m in terms.items():
-        if (
-            m < 1
-            or sum(t) != weight
-            or (cap is not None and len(t) > cap)
-            or (t and t[-1] < 1)
-            or t != tuple(sorted(t, reverse=True))
-        ):
-            raise ValueError(f"term {list(t)} with multiplicity {m} cannot occur")
+def _checked_key(rec) -> Key:
+    """The key of a parsed record; ValueError unless every term can occur in
+    that power: a partition of its weight, within the cap, with a positive
+    multiplicity. Runs on the JSON lists, building no tuple or dict per term."""
+    parts, n, cap = rec["partition"], rec["n"], rec["cap"]
+    ps, ms = [t[0] for t in rec["terms"]], [t[1] for t in rec["terms"]]
+    text = "".join([m for m in ms if type(m) is not int])  # TypeError unless the rest are str
+    # in order, so that sum() and int() see only what the checks before them let through
+    if not (
+        {type(parts), *map(type, ps)} <= {list}
+        and {type(n), *map(type, chain(parts, *ps))} <= {int}
+        and (cap is None or type(cap) is int and max(map(len, ps), default=cap) <= cap)
+        and (text.isascii() and text.isdigit() or not text)
+        and set(map(sum, ps)) <= {n * sum(parts)}
+        and all(p == sorted(p, reverse=True) and (not p or p[-1] >= 1) for p in ps)
+        and min(map(int, ms), default=1) >= 1
+    ):
+        raise ValueError("a term cannot occur in this power")
+    return tuple(parts), n, cap
+
+
+def _terms(line: str) -> Terms:
+    """The terms of a record line that `_checked_key` accepted."""
+    return {tuple(t[0]): int(t[1]) for t in json.loads(line)["terms"]}
+
+
+def _line(key: Key, terms: Terms) -> str:
+    """A power's record, terms in descending order, with the bytes json.dumps
+    writes for it but without building its terms as JSON lists."""
+    parts, n, cap = key
+    head = json.dumps({"partition": list(parts), "n": n, "cap": cap})
+    body = ", ".join(
+        f'[[{", ".join(map(str, t))}], "{terms[t]}"]' for t in sorted(terms, reverse=True)
+    )
+    return f'{head[:-1]}, "terms": [{body}]}}\n'
 
 
 class PowerCache:
     def __init__(self, path: str):
         self.path = path
         self.valid_header = True
-        self._entries: dict[Key, dict[tuple[int, ...], int]] = {}
+        self._entries: dict[Key, str | Terms] = {}  # a record's line until `get` reads it
         self._new: set[Key] = set()  # put since the last load or save
         self._load()
 
@@ -62,43 +94,40 @@ class PowerCache:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                key = (tuple(rec["partition"]), int(rec["n"]), rec["cap"])
-                terms = {tuple(t[0]): int(t[1]) for t in rec["terms"]}
-                _check_terms(terms, key[1] * sum(key[0]), key[2])
-                if self._entries.setdefault(key, terms) != terms:
+                key = _checked_key(json.loads(line))
+                held = self._entries.setdefault(key, line)
+                if held != line and _terms(held) != _terms(line):
                     raise ValueError(f"two records for {key} disagree")
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, IndexError, RecursionError):
                 self.valid_header = False
                 self._entries.clear()
                 return
 
-    def get(self, parts: tuple[int, ...], n: int, cap: int | None):
-        return self._entries.get((parts, n, cap))
+    def get(self, parts: tuple[int, ...], n: int, cap: int | None) -> Terms | None:
+        key = (parts, n, cap)
+        terms = self._entries.get(key)
+        if type(terms) is str:
+            terms = self._entries[key] = _terms(terms)
+        return terms
 
-    def put(self, parts: tuple[int, ...], n: int, cap: int | None, terms) -> None:
+    def put(self, parts: tuple[int, ...], n: int, cap: int | None, terms: Terms) -> None:
         key = (parts, n, cap)
         if key not in self._entries:
-            self._entries[key] = dict(terms)
+            self._entries[key] = terms
             self._new.add(key)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _records(self, keys):
-        for parts, n, cap in keys:
-            terms = sorted(self._entries[parts, n, cap].items(), reverse=True)
-            rec = {"partition": list(parts), "n": n, "cap": cap, "terms": [[list(t), str(m)] for t, m in terms]}
-            yield json.dumps(rec) + "\n"
 
     def save(self) -> None:
         """Append the new records or rewrite the file; a failed save leaves it intact."""
         if not self._new and self.valid_header and os.path.exists(self.path):
             return
         new = sorted(self._new, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2]))
-        blob = "".join(self._records(new)).encode()
+        blob = "".join(_line(k, self._entries[k]) for k in new).encode()
         if not (self.valid_header and self._append(blob)):
-            held = "".join(self._records(k for k in self._entries if k not in self._new))
+            keys = [k for k in self._entries if k not in self._new]
+            held = "".join(_line(k, self.get(*k)) for k in keys)
             tmp = f"{self.path}.{os.getpid()}.tmp"
             try:
                 with open(tmp, "wb") as fh:

@@ -13,7 +13,7 @@ from lrlab import LRElement, Partition, Subdivision, VerificationReport, clear_c
 from lrlab.cli import main, parse_partition
 from lrlab.cli import UsageError
 from lrlab.errors import InternalCheckError
-from lrlab.powercache import MAGIC, PowerCache
+from lrlab.powercache import MAGIC, PowerCache, _terms
 from lrlab.reports import ConeCertificate, ExponentSearch, TransferWitness
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -430,6 +430,12 @@ class TestCache:
         assert run_cli(capsys, *argv) == (0, fresh)
         assert path.read_bytes() == whole
 
+    def test_deeply_nested_line_makes_the_file_stale(self, tmp_path):
+        path = tmp_path / "powers.lrpow"
+        path.write_text(MAGIC + "\n" + "[" * 100_000 + "\n")
+        cache = PowerCache(str(path))
+        assert not cache.valid_header and len(cache) == 0
+
     def test_file_without_final_newline_is_rewritten(self, tmp_path, capsys):
         path, one = tmp_path / "powers.lrpow", tmp_path / "one.lrpow"
         clear_caches()
@@ -455,11 +461,19 @@ class TestCache:
         assert cache.get((1,), 1, None) == {(1,): 1}
 
     @pytest.mark.parametrize(
-        "terms, valid", [([[[2], "1"]], True), ([[[2], "2"]], False)], ids=["same", "different"]
+        "key, first, second, valid",
+        [
+            (([2], 1), [[[2], "1"]], [[[2], "1"]], True),
+            (([2], 1), [[[2], "1"]], [[[2], "2"]], False),
+            # the same terms in another order, one multiplicity a JSON integer
+            (([1], 2), [[[2], "1"], [[1, 1], "1"]], [[[1, 1], 1], [[2], "1"]], True),
+        ],
+        ids=["same", "different", "reordered"],
     )
-    def test_repeated_key(self, tmp_path, terms, valid):
+    def test_repeated_key(self, tmp_path, key, first, second, valid):
         path = tmp_path / "powers.lrpow"
-        records = [{"partition": [2], "n": 1, "cap": None, "terms": t} for t in ([[[2], "1"]], terms)]
+        parts, n = key
+        records = [{"partition": parts, "n": n, "cap": None, "terms": t} for t in (first, second)]
         path.write_text(MAGIC + "\n" + "".join(json.dumps(rec) + "\n" for rec in records))
         cache = PowerCache(str(path))
         assert cache.valid_header == valid and len(cache) == (1 if valid else 0)
@@ -473,6 +487,15 @@ class TestCache:
             [[2, 2, 2], "1"],  # longer than the cap
             [[4, 1], "1"],  # wrong weight
             [[6], "0"],  # multiplicity below 1
+            [[5.0, 1], "1"],  # a float part
+            [[5, True], "1"],  # a boolean part
+            [[5, 1], 1.9],  # a float multiplicity
+            [[5, 1], "1_0"],  # a multiplicity int() would read as 10
+            [[5, 1], True],  # a boolean multiplicity
+            [[5, 1]],  # no multiplicity
+            {"n": 2.0},  # a dict sets fields of the record instead: a float exponent
+            {"n": "2"},  # an exponent written as a string
+            {"cap": 2.0},  # a float cap
         ],
     )
     def test_corrupt_record_invalidates(self, tmp_path, capsys, term):
@@ -485,7 +508,10 @@ class TestCache:
         for i, line in enumerate(lines[1:], 1):
             rec = json.loads(line)
             if rec["n"] == 2:
-                rec["terms"].append(term)
+                if isinstance(term, dict):
+                    rec.update(term)
+                else:
+                    rec["terms"].append(term)
                 lines[i] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         cache = PowerCache(str(path))
@@ -493,6 +519,28 @@ class TestCache:
         clear_caches()
         assert run_cli(capsys, *argv) == (0, fresh)
         assert PowerCache(str(path)).valid_header
+
+    def test_open_parses_only_the_records_read(self, tmp_path, capsys, monkeypatch):
+        # the file of the bench's stepwise sweep: 15 records, n = 0..14
+        path = str(tmp_path / "sweep.lrpow")
+        for n in range(1, 15):
+            clear_caches()
+            assert main(["power", "[4,2,1]", str(n), "--l", "4", "--cache", path]) == 0
+        capsys.readouterr()
+        parsed = []
+
+        def counting_parse(line):
+            parsed.append(line)
+            return _terms(line)
+
+        monkeypatch.setattr("lrlab.powercache._terms", counting_parse)
+        cache = PowerCache(path)
+        assert len(cache) == 15 and parsed == []
+        terms = cache.get((4, 2, 1), 14, 4)
+        assert len(parsed) == 1 and len(terms) > 0
+        assert cache.get((4, 2, 1), 14, 4) is terms and len(parsed) == 1
+        assert run_cli(capsys, "cache", path) == (0, "LRPOW1 cache valid: entries=15\n")
+        assert len(parsed) == 1
 
     def test_unwritable_cache_path_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing" / "x.lrpow"
