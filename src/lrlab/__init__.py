@@ -54,7 +54,6 @@ _EXPORTS = {
         "gl_dimension",
         "lr_coefficient",
         "mul",
-        "mul_by_column",
         "mul_element",
         "mul_tableau",
         "tensor_power",

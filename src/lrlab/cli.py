@@ -21,7 +21,6 @@ import sys
 from .errors import (
     BudgetExceeded,
     InternalCheckError,
-    InvalidPartition,
     LRLabError,
     NoDecomposition,
     NotFoundWithin,
@@ -62,10 +61,7 @@ def parse_partition(text: str) -> Partition:
     if not _PARTITION_RE.fullmatch(text):
         raise UsageError(f"bad partition literal {text!r}; expected like [4,2,1] or []")
     inner = text[1:-1]
-    try:
-        return Partition(int(p) for p in inner.split(",")) if inner else Partition()
-    except InvalidPartition as exc:
-        raise UsageError(str(exc)) from exc
+    return Partition(int(p) for p in inner.split(",")) if inner else Partition()
 
 
 def _non_negative(text: str) -> int:

@@ -20,8 +20,8 @@ from .partitions import EMPTY, Partition, as_int
 
 
 def check_cap(cap: int | None) -> None:
-    """Raise ValueError naming a cap that is negative; None means no cap."""
-    if cap is not None and cap < 0:
+    """ValueError naming a cap unless it is None (no cap) or an integer >= 0."""
+    if cap is not None and as_int(cap, "cap") < 0:
         raise ValueError(f"negative cap {cap}")
 
 

@@ -3,12 +3,14 @@
 Plain text: a magic first line, then one JSON record per entry, keyed by
 (partition, exponent, cap), in the order the entries were first saved. A
 file with another header, an unparsable line, two records of one key with
-different terms, or a record whose terms cannot occur in that power (not a
-partition, longer than the cap, of the wrong weight, or of multiplicity
-below 1) is treated as empty. Parts, exponents and caps are JSON integers;
-a multiplicity is a JSON integer or a string of ASCII digits. Opening an
-empty path, an existing path that cannot be read (such as a directory), or
-one in a missing directory raises OSError.
+different terms, or a record whose terms cannot be that power's (a term not
+a partition, longer than the cap, of the wrong weight, or of multiplicity
+below 1; terms when n > 0 and a is longer than the cap, which cuts them
+all, or none otherwise, as s_a^n holds s_{n a}) is treated as empty.
+Parts, exponents and caps are JSON integers; a multiplicity is a JSON
+integer or a string of ASCII digits. Opening an empty path, an existing
+path that cannot be read (such as a directory), or one in a missing
+directory raises OSError.
 
 Opening a file checks every record but keeps each as its line of text;
 `get` turns a record into terms the first time it is asked for it, so an
@@ -33,9 +35,8 @@ Terms = dict[tuple[int, ...], int]
 
 
 def _checked_key(rec) -> Key:
-    """The key of a parsed record; ValueError unless every term can occur in
-    that power: a partition of its weight, within the cap, with a positive
-    multiplicity. Runs on the JSON lists, building no tuple or dict per term."""
+    """The key of a parsed record; ValueError unless its terms can be that
+    power's. Runs on the JSON lists, building no tuple or dict per term."""
     parts, n, cap = rec["partition"], rec["n"], rec["cap"]
     ps, ms = [t[0] for t in rec["terms"]], [t[1] for t in rec["terms"]]
     text = "".join([m for m in ms if type(m) is not int])  # TypeError unless the rest are str
@@ -44,6 +45,7 @@ def _checked_key(rec) -> Key:
         {type(parts), *map(type, ps)} <= {list}
         and {type(n), *map(type, chain(parts, *ps))} <= {int}
         and (cap is None or type(cap) is int and max(map(len, ps), default=cap) <= cap)
+        and bool(ps) is (n == 0 or cap is None or len(parts) <= cap)
         and (text.isascii() and text.isdigit() or not text)
         and set(map(sum, ps)) <= {n * sum(parts)}
         and all(p == sorted(p, reverse=True) and (not p or p[-1] >= 1) for p in ps)

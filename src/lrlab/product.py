@@ -11,14 +11,17 @@ Two independent algorithms are kept side by side on purpose:
 * the oracle counts column-strict skew fillings whose reverse reading word is
   a lattice word, one coefficient at a time.
 
-The test suite demands that both agree. Memo values are term dicts shared
-with LRElement and never mutated; lrlab starts no threads, so no memo table
-has concurrent readers. The product memo is keyed by the unordered pair of
-factors in lexicographic order, so mul(a, b) and mul(b, a) share one entry.
-An uncapped pair with more columns than rows, a[0] + b[0] > len(a) + len(b),
-is wide: its entry holds the transpose of its conjugate pair's terms, and
-that pair's peak. Any other pair expands the factor with the shorter
-expansion (the second on a tie). A product's peak depends only on its pair.
+The test suite demands that both agree. _apply sums every fast-path product
+and power step and is the one check for a negative multiplicity; a wide
+product transposes a checked result, and PowerCache checks cache reads. Memo
+values are term dicts shared with LRElement and never mutated; lrlab starts
+no threads, so no memo table has concurrent readers. The product memo is
+keyed by the unordered pair of factors in lexicographic order, so mul(a, b)
+and mul(b, a) share one entry. An uncapped pair with more columns than rows,
+a[0] + b[0] > len(a) + len(b), is wide: its entry holds the transpose of its
+conjugate pair's terms, and that pair's peak. Any other pair expands the
+factor with the shorter expansion (the second on a tie). A product's peak
+depends only on its pair.
 
 The vertical-strip step has one memo table per (column height, cap), keyed
 by the part tuple, which _apply looks up inline. Every tuple the step builds
@@ -40,7 +43,7 @@ import os
 
 from .elements import LRElement, check_cap
 from .errors import BudgetExceeded, InternalCheckError
-from .partitions import Partition, conjugate_parts, partitions_of
+from .partitions import Partition, as_int, conjugate_parts, partitions_of
 
 DEFAULT_TERM_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LRLAB_BUDGET"
@@ -78,12 +81,6 @@ def clear_caches() -> None:
 def _check_budget(terms: int, budget: int) -> None:
     if terms > budget:
         raise BudgetExceeded(f"{terms} terms exceed budget {budget}")
-
-
-def _check_nonnegative(terms: dict[tuple[int, ...], int], what: str) -> None:
-    for m in terms.values():
-        if m < 0:
-            raise InternalCheckError(f"negative multiplicity in {what}")
 
 
 def _pieri(parts: tuple[int, ...], r: int, cap: int | None) -> tuple[tuple[int, ...], ...]:
@@ -124,8 +121,8 @@ def _apply(
     """sum_mu expansion[mu] * start * e_mu1 * e_mu2 * ..., and its peak term count.
 
     The column tuples mu are walked in sorted order, keeping the chain of
-    partial products of the previous one, so tuples with a common prefix
-    share its vertical-strip steps.
+    partial products of the previous one, so tuples with a common prefix share
+    its vertical-strip steps. A negative sum raises InternalCheckError.
     """
     out: dict[tuple[int, ...], int] = {}
     peak = 0
@@ -152,6 +149,8 @@ def _apply(
         for t, m in chain[-1].items():
             out[t] = get(t, 0) + coef * m
     out = {t: m for t, m in out.items() if m}
+    if min(out.values(), default=0) < 0:
+        raise InternalCheckError("negative multiplicity in a summed product")
     _check_budget(len(out), budget)
     return out, max(peak, len(out))
 
@@ -211,7 +210,6 @@ def _mul_parts(
         # expand the factor with the shorter expansion, on a tie the second
         base, exp = (b, exp_a) if len(exp_a) < len(exp_b) else (a, exp_b)
         out, peak = _apply({base: 1}, exp, cap, budget)
-        _check_nonnegative(out, f"{a} x {b}")
         hit = _mul_memo[key] = (out, max(peak, peak_a, peak_b))
     _check_budget(hit[1], budget)
     return hit
@@ -224,20 +222,11 @@ def mul(a: Partition, b: Partition, cap: int | None = None, budget: int | None =
     return LRElement._from_raw(terms, cap)
 
 
-def mul_by_column(a: Partition, r: int, cap: int | None = None) -> LRElement:
-    """Product with a single column of height r (vertical-strip expansion)."""
-    if r < 0:
-        raise ValueError("negative column height")
-    check_cap(cap)
-    return LRElement._from_raw({t: 1 for t in _pieri(a.parts, r, cap)}, cap)
-
-
 def mul_element(m: LRElement, b: Partition, budget: int | None = None) -> LRElement:
     """Linear extension of mul to an element times a basis partition."""
     bud = term_budget(budget)
     exp, _ = _expansion(b.parts, m.cap, bud)
     out, _ = _apply(m._terms, exp, m.cap, bud)
-    _check_nonnegative(out, f"element x {b}")
     return LRElement._from_raw(out, m.cap)
 
 
@@ -257,7 +246,7 @@ def tensor_power(
     Each step applies the expansion of the partition to the whole previous
     power at once.
     """
-    if n < 0:
+    if as_int(n, "exponent") < 0:
         raise ValueError("negative exponent")
     check_cap(cap)
     bud = term_budget(budget)
@@ -277,7 +266,6 @@ def tensor_power(
         peak = max(peak, exp_peak)
     for k in range(k0 + 1, n + 1):
         cur, step_peak = _apply(cur, exp, cap, bud)
-        _check_nonnegative(cur, f"{a}^{k}")
         peak = max(peak, step_peak)
         _power_memo[(parts, k, cap)] = (cur, peak)
     if cache is not None:
@@ -344,6 +332,7 @@ def lr_coefficient(a: Partition, b: Partition, c: Partition) -> int:
 
 def mul_tableau(a: Partition, b: Partition, cap: int | None = None) -> LRElement:
     """Product of two basis partitions via the skew-filling count (oracle)."""
+    check_cap(cap)
     total = a.weight + b.weight
     max_len = len(a) + len(b)
     if cap is not None:

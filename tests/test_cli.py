@@ -12,7 +12,7 @@ import pytest
 from lrlab import LRElement, Partition, Subdivision, VerificationReport, clear_caches
 from lrlab.cli import main, parse_partition
 from lrlab.cli import UsageError
-from lrlab.errors import InternalCheckError
+from lrlab.errors import InternalCheckError, InvalidPartition
 from lrlab.powercache import MAGIC, PowerCache, _terms
 from lrlab.reports import ConeCertificate, ExponentSearch, TransferWitness
 
@@ -45,9 +45,12 @@ class TestParsing:
         assert parse_partition("[]") == Partition()
 
     def test_rejects_garbage(self):
-        for bad in ("4,2", "[4,2", "[a]", "[4 2]", "[1,2]"):
+        for bad in ("4,2", "[4,2", "[a]", "[4 2]"):
             with pytest.raises(UsageError):
                 parse_partition(bad)
+        # a well-formed literal that is not a partition raises the library's own error
+        with pytest.raises(InvalidPartition):
+            parse_partition("[1,2]")
 
     # a trailing newline once passed the pattern and failed in int(); an
     # Arabic-Indic three once parsed as [3]
@@ -496,6 +499,8 @@ class TestCache:
             {"n": 2.0},  # a dict sets fields of the record instead: a float exponent
             {"n": "2"},  # an exponent written as a string
             {"cap": 2.0},  # a float cap
+            {"terms": []},  # no terms, though [2,1] fits the cap
+            {"partition": [2], "cap": None, "terms": []},  # no terms in an uncapped power
         ],
     )
     def test_corrupt_record_invalidates(self, tmp_path, capsys, term):
@@ -519,6 +524,25 @@ class TestCache:
         clear_caches()
         assert run_cli(capsys, *argv) == (0, fresh)
         assert PowerCache(str(path)).valid_header
+
+    def test_record_without_terms_of_a_power_that_has_some_is_stale(self, tmp_path, capsys):
+        path = tmp_path / "powers.lrpow"
+        rec = {"partition": [2], "n": 2, "cap": None, "terms": []}
+        path.write_text(MAGIC + "\n" + json.dumps(rec) + "\n")
+        assert not PowerCache(str(path)).valid_header
+        clear_caches()
+        out = run_cli(capsys, "power", "[2]", "2", "--cache", str(path))
+        assert out == (0, "[4] 1\n[3,1] 1\n[2,2] 1\n")
+
+    def test_powers_cut_by_the_cap_keep_records_without_terms(self, tmp_path, capsys):
+        # [1,1,1] is longer than the cap, so every term of its powers past the unit is cut
+        path = str(tmp_path / "powers.lrpow")
+        clear_caches()
+        assert run_cli(capsys, "power", "[1,1,1]", "2", "--l", "2", "--cache", path) == (0, "empty\n")
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh.read().splitlines()[1:]]
+        assert [(rec["n"], rec["terms"]) for rec in records] == [(0, [[[], "1"]]), (1, []), (2, [])]
+        assert run_cli(capsys, "cache", path) == (0, "LRPOW1 cache valid: entries=3\n")
 
     def test_open_parses_only_the_records_read(self, tmp_path, capsys, monkeypatch):
         # the file of the bench's stepwise sweep: 15 records, n = 0..14

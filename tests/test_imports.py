@@ -37,7 +37,7 @@ EXPORTS = {
     "powercache": ["PowerCache"],
     "product": [
         "DEFAULT_TERM_BUDGET", "clear_caches", "gl_dimension", "lr_coefficient", "mul",
-        "mul_by_column", "mul_element", "mul_tableau", "tensor_power", "term_budget",
+        "mul_element", "mul_tableau", "tensor_power", "term_budget",
     ],
     "reports": ["ConeCertificate", "ExponentSearch", "TransferWitness", "VerificationReport"],
     "search": ["minimal_uniform_exponent", "property_holds", "transfer_witness"],

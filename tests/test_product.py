@@ -22,11 +22,11 @@ from lrlab import (
     gl_dimension,
     lr_coefficient,
     mul,
-    mul_by_column,
     mul_element,
     mul_tableau,
     partitions_of,
     partitions_up_to,
+    property_holds,
     single_column,
     tensor_power,
     term_budget,
@@ -119,17 +119,17 @@ class TestDimensionOracle:
 
 class TestColumnStep:
     def test_single_box(self):
-        assert mul_by_column(P(1), 1) == E({(2,): 1, (1, 1): 1})
+        assert mul(P(1), single_column(1)) == E({(2,): 1, (1, 1): 1})
 
     def test_hook_times_box(self):
-        assert mul_by_column(P(2, 1), 1) == E({(3, 1): 1, (2, 2): 1, (2, 1, 1): 1})
+        assert mul(P(2, 1), single_column(1)) == E({(3, 1): 1, (2, 2): 1, (2, 1, 1): 1})
 
     def test_box_times_column(self):
-        assert mul_by_column(P(1), 2) == E({(2, 1): 1, (1, 1, 1): 1})
+        assert mul(P(1), single_column(2)) == E({(2, 1): 1, (1, 1, 1): 1})
 
     def test_unit_cases(self):
-        assert mul_by_column(P(3, 1), 0) == E({(3, 1): 1})
-        assert mul_by_column(Partition(), 3) == E({(1, 1, 1): 1})
+        assert mul(P(3, 1), single_column(0)) == E({(3, 1): 1})
+        assert mul(Partition(), single_column(3)) == E({(1, 1, 1): 1})
 
     def test_column_times_column_closed_form(self):
         for s in range(1, 7):
@@ -530,9 +530,19 @@ class TestBudgetValue:
 NEGATIVE_CAP_CALLS = {
     "mul": lambda: mul(P(2, 1), P(1), cap=-1),
     "tensor_power": lambda: tensor_power(P(2, 1), 3, cap=-1),
-    "mul_by_column": lambda: mul_by_column(P(2, 1), 2, cap=-1),
     "mul_tableau": lambda: mul_tableau(P(2, 1), P(1), cap=-1),
     "LRElement": lambda: LRElement({P(1): 1}, cap=-1),
+}
+
+# a fractional exponent once stepped the power walk past 0 for ever; a fractional cap was accepted
+NON_INTEGER_CALLS = {
+    "exponent_2.5": (lambda: tensor_power(P(2), 2.5), "exponent 2.5"),
+    "exponent_2.0": (lambda: tensor_power(P(2), 2.0), "exponent 2.0"),
+    "property_holds_2.5": (lambda: property_holds(P(2), 2.5, 2), "exponent 2.5"),
+    "mul_cap_1.5": (lambda: mul(P(2, 1), P(1), cap=1.5), "cap 1.5"),
+    "mul_tableau_cap_1.5": (lambda: mul_tableau(P(2, 1), P(1), cap=1.5), "cap 1.5"),
+    "tensor_power_cap_1.5": (lambda: tensor_power(P(2), 2, cap=1.5), "cap 1.5"),
+    "LRElement_cap_1.5": (lambda: LRElement({P(1): 1}, cap=1.5), "cap 1.5"),
 }
 
 
@@ -542,15 +552,23 @@ class TestEntryChecks:
         with pytest.raises(ValueError, match="^negative cap -1$"):
             call()
 
+    @pytest.mark.parametrize("call, what", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+    def test_non_integer_exponent_or_cap_is_refused(self, call, what):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"{what} is not an integer"
+
     def test_negative_multiplicity_is_an_internal_error(self, monkeypatch):
-        # an expansion with a negative term makes every product negative; each
-        # entry point checks the result it builds
+        # an expansion with a negative term makes every product negative; _apply
+        # checks every sum it makes, whichever entry point reached it
         clear_caches()
         monkeypatch.setattr(product, "_expansion", lambda *args: ({(1,): -1}, 1))
         calls = [
             lambda: mul(P(2, 1), P(1)),
             lambda: tensor_power(P(2, 1), 2),
             lambda: mul_element(LRElement({P(2): 1}), P(1)),
+            lambda: mul(P(1, 1), P(4, 1)),  # wide: the conjugate pair reaches _apply
+            lambda: mul(P(2, 1), P(1), cap=2),
         ]
         for call in calls:
             with pytest.raises(InternalCheckError, match="^negative multiplicity in "):
