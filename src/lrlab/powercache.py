@@ -7,10 +7,10 @@ different terms, or a record whose terms cannot be that power's (a term not
 a partition, longer than the cap, of the wrong weight, or of multiplicity
 below 1; terms when n > 0 and a is longer than the cap, which cuts them
 all, or none otherwise, as s_a^n holds s_{n a}) is treated as empty.
-Parts, exponents and caps are JSON integers; a multiplicity is a JSON
-integer or a string of ASCII digits. Opening an empty path, an existing
-path that cannot be read (such as a directory), or one in a missing
-directory raises OSError.
+Parts are JSON integers, and exponents and caps non-negative ones; a
+multiplicity is a JSON integer or a string of ASCII digits. Opening an
+empty path, an existing path that cannot be read (such as a directory), or
+one in a missing directory raises OSError.
 
 Opening a file checks every record but keeps each as its line of text;
 `get` turns a record into terms the first time it is asked for it, so an
@@ -43,8 +43,9 @@ def _checked_key(rec) -> Key:
     # in order, so that sum() and int() see only what the checks before them let through
     if not (
         {type(parts), *map(type, ps)} <= {list}
-        and {type(n), *map(type, chain(parts, *ps))} <= {int}
-        and (cap is None or type(cap) is int and max(map(len, ps), default=cap) <= cap)
+        and {type(n), *map(type, chain(parts, *ps))} <= {int} and n >= 0
+        # every term fits the cap, and with default=0 a cap below 0 fails too
+        and (cap is None or type(cap) is int and max(map(len, ps), default=0) <= cap)
         and bool(ps) is (n == 0 or cap is None or len(parts) <= cap)
         and (text.isascii() and text.isdigit() or not text)
         and set(map(sum, ps)) <= {n * sum(parts)}

@@ -20,8 +20,9 @@ keyed by the unordered pair of factors in lexicographic order, so mul(a, b)
 and mul(b, a) share one entry. An uncapped pair with more columns than rows,
 a[0] + b[0] > len(a) + len(b), is wide: its entry holds the transpose of its
 conjugate pair's terms, and that pair's peak. Any other pair expands the
-factor with the shorter expansion (the second on a tie). A product's peak
-depends only on its pair.
+factor with fewer columns, then more rows, then the first of its key: each
+term of E(x) dominates x' (Macdonald I.6), so it has at most x[0] parts and
+a first part of at least len(x). A product's peak depends only on its pair.
 
 The vertical-strip step has one memo table per (column height, cap), keyed
 by the part tuple, which _apply looks up inline. Every tuple the step builds
@@ -205,12 +206,11 @@ def _mul_parts(
         terms = {canon(t, t): m for t, m in zip(map(conjugate_parts, terms), terms.values())}
         hit = _mul_memo[key] = (terms, peak)
     elif hit is None:
-        exp_a, peak_a = _expansion(a, cap, budget)
-        exp_b, peak_b = _expansion(b, cap, budget)
-        # expand the factor with the shorter expansion, on a tie the second
-        base, exp = (b, exp_a) if len(exp_a) < len(exp_b) else (a, exp_b)
-        out, peak = _apply({base: 1}, exp, cap, budget)
-        hit = _mul_memo[key] = (out, max(peak, peak_a, peak_b))
+        # expand the factor with fewer columns, on a tie the one with more rows, then the first
+        x, base = (a, b) if (a[:1], -len(a)) <= (b[:1], -len(b)) else (b, a)
+        exp, peak_x = _expansion(x, cap, budget)
+        out, peak = _apply({base: 1} if cap is None or len(base) <= cap else {}, exp, cap, budget)
+        hit = _mul_memo[key] = (out, max(peak, peak_x))
     _check_budget(hit[1], budget)
     return hit
 

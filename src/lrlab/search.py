@@ -23,8 +23,6 @@ def property_holds(a: Partition, n: int, l: int) -> tuple[bool, Partition | None
     """
     if len(a) > l:
         raise InvalidPartition(f"{a} does not fit length {l}")
-    if n < 0:
-        raise ValueError("negative exponent")
     power = tensor_power(a, n, cap=l)
     for b in dominated_partitions(a.scaled(n), l):
         if power[b] == 0:

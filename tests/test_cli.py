@@ -501,6 +501,8 @@ class TestCache:
             {"cap": 2.0},  # a float cap
             {"terms": []},  # no terms, though [2,1] fits the cap
             {"partition": [2], "cap": None, "terms": []},  # no terms in an uncapped power
+            {"partition": [1, 1], "n": -1, "cap": 1, "terms": []},  # a negative exponent
+            {"partition": [1, 1], "n": 3, "cap": -1, "terms": []},  # a negative cap
         ],
     )
     def test_corrupt_record_invalidates(self, tmp_path, capsys, term):

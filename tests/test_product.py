@@ -32,7 +32,7 @@ from lrlab import (
     term_budget,
     verify_lemma,
 )
-from lrlab import product
+from lrlab import product, verify
 from lrlab.errors import BudgetExceeded, InternalCheckError
 from lrlab.powercache import PowerCache
 
@@ -323,6 +323,7 @@ class TestQuotient:
 
     def test_long_operand_maps_to_zero(self):
         assert mul(P(1, 1, 1), P(1), cap=2) == LRElement.zero(cap=2)
+        assert mul(P(), P(1, 1), cap=1) == LRElement.zero(cap=1)
 
 
 class TestPower:
@@ -412,9 +413,9 @@ class TestBudgetIgnoresMemoState:
 
 # Every budgeted call with its peak: the largest term count any step of its
 # cold computation reaches, counted on this tree. Several peak above the size
-# of their result. The last three peak in the expansion of (3,2,1), above
-# their own strip steps, and fill each other's expansion memo; the zero
-# element times (3,2,1) has no strip step at all.
+# of their result. The last one peaks in the expansion of (3,2,1) and has no
+# strip step at all: it multiplies the zero element. The two products with
+# (3,2,1) expand the box instead.
 PEAKED_CALLS = {
     **BUDGETED_CALLS,
     # one unordered pair in both orders: each one's "others" run is a mirrored hit
@@ -439,8 +440,8 @@ PEAKS = {
     "mul_22_2": (3, 3),
     "mul_11_41": (5, 4),
     "mul_2_2111": (5, 4),
-    "mul_321_1": (6, 4),
-    "mul_1_321": (6, 4),
+    "mul_321_1": (4, 4),
+    "mul_1_321": (4, 4),
     "mul_element_zero": (6, 0),
 }
 
@@ -503,6 +504,16 @@ class TestUnorderedProductMemo:
         clear_caches()
         verify_lemma("SMALLER", {"max_weight": 8})
         assert len(product._mul_memo) == 1_993
+        clear_caches()
+
+
+class TestOneExpansionPerProduct:
+    def test_only_the_chosen_factor_is_expanded(self):
+        # (1) has fewer columns than (3,2,1), so E((3,2,1)) and its sub-expansions
+        # are never built
+        clear_caches()
+        mul(P(3, 2, 1), P(1))
+        assert set(product._exp_memo) == {((1,), None)}
         clear_caches()
 
 
@@ -658,6 +669,23 @@ class TestDifferential:
                         assert got == want._terms, (base, other, cap)
                         checks += 1
         assert (pairs, checks) == (617, 4579)
+        clear_caches()
+
+    def test_h_mult_p_products_match_tableau_oracle(self, monkeypatch):
+        # every product H_MULT_P asks for at max_l=4, past its default bound of 3:
+        # heavy perturbed generators times light moves
+        asked = set()
+
+        def recording_mul(a, b, cap=None, budget=None):
+            asked.add((a, b, cap))
+            return mul(a, b, cap=cap, budget=budget)
+
+        monkeypatch.setattr(verify, "mul", recording_mul)
+        clear_caches()
+        assert verify_lemma("H_MULT_P", {"max_l": 4}).passed
+        assert len(asked) == 513
+        for a, b, cap in asked:
+            assert mul(a, b, cap=cap) == mul_tableau(a, b, cap=cap), (a, b, cap)
         clear_caches()
 
     def test_uncapped_product_is_the_transpose_of_the_conjugate_product(self):

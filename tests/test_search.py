@@ -37,6 +37,10 @@ class TestPropertyHolds:
         for n in range(1, 4):
             assert property_holds(P(1), n, 1) == (True, None)
 
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            property_holds(P(2), -1, 2)
+
 
 class TestThresholdSearch:
     def test_row(self):
