@@ -24,10 +24,18 @@ factor with fewer columns, then more rows, then the first of its key: each
 term of E(x) dominates x' (Macdonald I.6), so it has at most x[0] parts and
 a first part of at least len(x). A product's peak depends only on its pair.
 
-The vertical-strip step has one memo table per (column height, cap), keyed
-by the part tuple, which _apply looks up inline. Every tuple the step builds
-is interned in _canon, so each partition exists once and memo values,
-products and powers hold references to it.
+Under a cap l the vertical-strip step works on packed ints: a partition of at
+most l rows is one int with B bits per row, top row first, where B bounds
+the largest part the call can build (its start's largest first part plus its
+most columns) with one spare bit. A strip of height r adds a 0/1 pattern v
+whose ones take a top segment of each run of equal rows, and the runs come
+from one borrow-free subtraction of x from x shifted down a row. The patterns
+are memoised per (l, B, r, runs), largest first, so every step lists its
+terms in the order of the tuple recursion. _apply packs its start and unpacks
+its sum. Uncapped steps keep that recursion on part tuples: one memo table
+per column height, keyed by the part tuple, which _apply looks up inline.
+Both steps intern every tuple they make in _canon, so each partition exists
+once and memo values, products and powers hold references to it.
 
 Every expansion, product and power memo value is a pair (result, peak),
 where peak is the largest term count any step of its computation reached,
@@ -41,6 +49,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+from itertools import accumulate
+from operator import lshift
 
 from .elements import LRElement, check_cap
 from .errors import BudgetExceeded, InternalCheckError
@@ -49,8 +59,9 @@ from .partitions import Partition, as_int, conjugate_parts, partitions_of
 DEFAULT_TERM_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LRLAB_BUDGET"
 
-_pieri_memo: dict = {}  # (r, cap) -> {parts: strips}
-_canon: dict = {}  # intern table: the one tuple of each partition _pieri built
+_pieri_memo: dict = {}  # r -> {parts: strips}, uncapped
+_pattern_memo: dict = {}  # (cap, bits, r) -> {runs key: patterns}, capped
+_canon: dict = {}  # intern table: the one tuple of each partition a step built
 _exp_memo: dict = {}
 _mul_memo: dict = {}
 _power_memo: dict = {}
@@ -73,6 +84,7 @@ def term_budget(explicit: int | None = None) -> int:
 
 def clear_caches() -> None:
     _pieri_memo.clear()
+    _pattern_memo.clear()
     _canon.clear()
     _exp_memo.clear()
     _mul_memo.clear()
@@ -84,33 +96,86 @@ def _check_budget(terms: int, budget: int) -> None:
         raise BudgetExceeded(f"{terms} terms exceed budget {budget}")
 
 
-def _pieri(parts: tuple[int, ...], r: int, cap: int | None) -> tuple[tuple[int, ...], ...]:
-    """Support of (partition x one column of height r); multiplicity-free."""
-    table = _pieri_memo.setdefault((r, cap), {})
+def _pieri(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Support of (partition x one column of height r), uncapped; multiplicity-free."""
+    table = _pieri_memo.setdefault(r, {})
     hit = table.get(parts)
     if hit is not None:
         return hit
     canon = _canon.setdefault
     parts = canon(parts, parts)
     if r == 0:
-        out = (parts,) if cap is None or len(parts) <= cap else ()
+        out = (parts,)
     elif not parts:
-        out = (canon((1,) * r, (1,) * r),) if cap is None or r <= cap else ()
+        out = (canon((1,) * r, (1,) * r),)
     else:
         head, tail = parts[0], parts[1:]
         res = []
-        for u in _pieri(tail, r - 1, cap):
+        for u in _pieri(tail, r - 1):
             v = (head + 1,) + u
-            if cap is None or len(v) <= cap:
-                res.append(canon(v, v))
-        for u in _pieri(tail, r, cap):
+            res.append(canon(v, v))
+        for u in _pieri(tail, r):
             if not u or head >= u[0]:
                 v = (head,) + u
-                if cap is None or len(v) <= cap:
-                    res.append(canon(v, v))
+                res.append(canon(v, v))
         out = tuple(res)
     table[parts] = out
     return out
+
+
+def _strip_step(terms: dict, r: int) -> dict:
+    """terms times one column of height r, uncapped, on part tuples."""
+    strips = _pieri_memo.setdefault(r, {}).get
+    nxt: dict[tuple[int, ...], int] = {}
+    get = nxt.get
+    for t, m in terms.items():
+        for u in strips(t) or _pieri(t, r):  # _pieri on a miss
+            nxt[u] = get(u, 0) + m
+    return nxt
+
+
+def _patterns(cap: int, bits: int, r: int, key: int) -> tuple[int, ...]:
+    """The strips of height r a packed partition with runs key accepts, largest first.
+
+    Row i starts a run of equal rows when i = 0 or key has the top bit of its
+    field set; a strip takes the top k rows of each run, the k summing to r.
+    """
+    runs: list[list[int]] = []
+    for i in range(cap):
+        unit = 1 << bits * (cap - 1 - i)
+        if not i or key & unit << bits - 1:
+            runs.append([])
+        runs[-1].append(unit)
+    partial = [(0, 0)]  # (pattern, height) over the runs so far
+    for run in runs:
+        tops = list(accumulate(run, initial=0))
+        partial = [(v + top, h + k) for v, h in partial for k, top in enumerate(tops) if h + k <= r]
+    return tuple(sorted((v for v, h in partial if h == r), reverse=True))
+
+
+def _packed_step(cap: int, bits: int):
+    """The capped strip step on partitions packed with bits bits per row."""
+    units = sum(1 << bits * i for i in range(cap))
+    low = units * ((1 << bits - 1) - 1)
+    high = units << bits - 1
+
+    def step(terms: dict[int, int], r: int) -> dict[int, int]:
+        table = _pattern_memo.setdefault((cap, bits, r), {})
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for x, m in terms.items():
+            # each row's field gets the row above it, plus low, minus itself: no field
+            # borrows or carries, and its top bit is set when the row is shorter
+            key = ((x >> bits) + low - x) & high
+            patterns = table.get(key)
+            if patterns is None:
+                patterns = table[key] = _patterns(cap, bits, r, key)
+            for v in patterns:
+                u = x + v
+                nxt[u] = get(u, 0) + m
+        return nxt
+
+    return step
 
 
 def _apply(
@@ -123,11 +188,20 @@ def _apply(
 
     The column tuples mu are walked in sorted order, keeping the chain of
     partial products of the previous one, so tuples with a common prefix share
-    its vertical-strip steps. A negative sum raises InternalCheckError.
+    its vertical-strip steps. Under a cap the chain holds packed partitions;
+    start must fit the cap. A negative sum raises InternalCheckError.
     """
-    out: dict[tuple[int, ...], int] = {}
+    if cap is None:
+        step, first = _strip_step, start
+    else:
+        top = max((t[0] for t in start if t), default=0)
+        bits = (top + max(map(len, expansion), default=0)).bit_length() + 1
+        shifts = range(bits * (cap - 1), -1, -bits)  # of rows 0, 1, ..., cap - 1
+        step = _packed_step(cap, bits)
+        first = {sum(map(lshift, t, shifts)): m for t, m in start.items()}
+    out: dict = {}
     peak = 0
-    chain = [start]  # chain[i]: start times the first i columns of prev
+    chain = [first]  # chain[i]: start times the first i columns of prev
     prev: tuple[int, ...] = ()
     for mu in sorted(expansion):
         k = 0
@@ -135,12 +209,7 @@ def _apply(
             k += 1
         del chain[k + 1 :]
         for r in mu[k:]:
-            strips = _pieri_memo.setdefault((r, cap), {}).get
-            nxt: dict[tuple[int, ...], int] = {}
-            get = nxt.get
-            for t, m in chain[-1].items():
-                for u in strips(t) or _pieri(t, r, cap):  # _pieri on a miss or an empty hit
-                    nxt[u] = get(u, 0) + m
+            nxt = step(chain[-1], r)
             _check_budget(len(nxt), budget)
             peak = max(peak, len(nxt))
             chain.append(nxt)
@@ -152,6 +221,13 @@ def _apply(
     out = {t: m for t, m in out.items() if m}
     if min(out.values(), default=0) < 0:
         raise InternalCheckError("negative multiplicity in a summed product")
+    if cap is not None:
+        field = (1 << bits) - 1
+        canon = _canon.setdefault
+        packed, out = out, {}
+        for x, m in packed.items():
+            t = tuple([p for s in shifts if (p := x >> s & field)])
+            out[canon(t, t)] = m
     _check_budget(len(out), budget)
     return out, max(peak, len(out))
 

@@ -2,19 +2,22 @@
 
 Each record serializes to a JSON object that parses back into the same type;
 wall-clock fields stay out of the JSON so that output bytes are repeatable.
+The records are named tuples, so loading them pulls in neither dataclasses
+(and its inspect, ast and dis) nor fractions (and its decimal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .partitions import Partition
 from .subdivisions import Subdivision
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass
-class VerificationReport:
+
+class VerificationReport(NamedTuple):
     lemma_id: str
     bounds: dict[str, int]
     cases_checked: int
@@ -48,8 +51,7 @@ class VerificationReport:
         )
 
 
-@dataclass
-class ConeCertificate:
+class ConeCertificate(NamedTuple):
     member: bool
     n: int | None = None
     decomposition: list[tuple[Subdivision, Fraction]] | None = None
@@ -71,6 +73,8 @@ class ConeCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConeCertificate":
+        from fractions import Fraction
+
         deco = None
         if obj["decomposition"] is not None:
             deco = [
@@ -80,8 +84,7 @@ class ConeCertificate:
         return cls(member=obj["member"], n=obj["n"], decomposition=deco, reason=obj.get("reason", ""))
 
 
-@dataclass
-class TransferWitness:
+class TransferWitness(NamedTuple):
     a: Partition
     b: Partition
     d: int
@@ -114,13 +117,12 @@ class TransferWitness:
         )
 
 
-@dataclass
-class ExponentSearch:
+class ExponentSearch(NamedTuple):
     partition: Partition
     l: int
     n_max: int
     threshold: int | None
-    failures: list[tuple[int, Partition]] = field(default_factory=list)
+    failures: list[tuple[int, Partition]]
 
     def describe(self) -> str:
         head = f"threshold {self.threshold}" if self.threshold is not None else "threshold unknown"

@@ -84,9 +84,11 @@ class TestColdStart:
         }
 
     def test_verify_lemma_skips_cones_and_search(self):
+        # the report records are named tuples: no dataclasses (inspect, ast, dis) and
+        # no fractions (decimal) at start
         loaded = loaded_after_main("verify", "--lemma", "EXCHANGE")
         assert "lrlab.verify" in loaded
-        assert not loaded & {"lrlab.cones", "lrlab.search"}
+        assert not loaded & {"lrlab.cones", "lrlab.search", "dataclasses", "fractions"}
 
     def test_import_lrlab_loads_no_layer(self):
         assert loaded_after("import lrlab") == {"lrlab"}

@@ -163,28 +163,42 @@ def strips_oracle(parts, r, cap):
     return tuple(res)
 
 
+def capped_strips(parts, r, cap):
+    """The packed strip step under cap, through _apply: parts times one column of height r."""
+    got, _ = product._apply({parts: 1}, {(r,): 1}, cap, product.DEFAULT_TERM_BUDGET)
+    assert set(got.values()) <= {1}
+    return tuple(got)
+
+
 class TestStripStep:
-    """The memoised, interned strip step against an unmemoised copy of its recursion."""
+    """The strip steps against an unmemoised copy of the tuple recursion: the
+    memoised, interned one uncapped, the packed one under a cap."""
 
     def test_matches_unmemoised_recursion_in_order(self):
         clear_caches()
         for _ in ("cold", "warm"):
-            for cap in (None, *range(9)):
+            for r in range(7):
+                for a in partitions_up_to(10):
+                    assert product._pieri(a.parts, r) == strips_oracle(a.parts, r, None), (a, r)
+            for cap in range(9):
                 for r in range(7):
                     for a in partitions_up_to(10):
-                        got = product._pieri(a.parts, r, cap)
-                        assert got == strips_oracle(a.parts, r, cap), (a, r, cap)
+                        if len(a) <= cap:  # _apply's start fits its cap
+                            got = capped_strips(a.parts, r, cap)
+                            assert got == strips_oracle(a.parts, r, cap), (a, r, cap)
 
     def test_equal_partitions_are_one_object(self):
         clear_caches()
-        x = product._pieri((2, 1), 1, None)  # (3, 1), (2, 2), (2, 1, 1)
-        y = product._pieri((1, 1), 2, None)  # (2, 2), (2, 1, 1), (1, 1, 1, 1)
+        x = product._pieri((2, 1), 1)  # (3, 1), (2, 2), (2, 1, 1)
+        y = product._pieri((1, 1), 2)  # (2, 2), (2, 1, 1), (1, 1, 1, 1)
         assert x[1] is y[0] and x[2] is y[1]
         first = {}
-        for cap in (None, 3):
-            for r in range(4):
-                for a in partitions_up_to(6):
-                    for u in product._pieri(a.parts, r, cap):
+        for r in range(4):
+            for a in partitions_up_to(6):
+                for u in product._pieri(a.parts, r):
+                    assert first.setdefault(u, u) is u
+                if len(a) <= 3:
+                    for u in capped_strips(a.parts, r, 3):
                         assert first.setdefault(u, u) is u
 
     def test_memo_and_intern_counts_after_a_power(self):
@@ -193,6 +207,34 @@ class TestStripStep:
         tensor_power(P(3, 1), 8)
         assert sum(len(table) for table in product._pieri_memo.values()) == 61_953
         assert len(product._canon) == 35_847
+
+    def test_capped_power_builds_no_strip_table(self):
+        # a capped step keeps one pattern tuple per (cap, bits, height, runs of equal rows),
+        # not one strip tuple per partition
+        clear_caches()
+        tensor_power(P(4, 2, 1), 8, cap=4)
+        assert product._pieri_memo == {}
+        assert sum(len(table) for table in product._pattern_memo.values()) == 112
+        clear_caches()
+
+    def test_parts_of_2_to_the_16_under_a_cap(self):
+        # B follows the largest part the call can build, here 17 bits and a spare
+        clear_caches()
+        assert tensor_power(P(70000), 1, cap=1) == mul_tableau(P(70000), P(), cap=1)
+        assert mul(P(70000), P(1), cap=2) == mul_tableau(P(70000), P(1), cap=2)
+        assert tensor_power(P(70000), 2, cap=1) == E({(140000,): 1}, cap=1)
+        clear_caches()
+
+    def test_caps_past_8_match_tableau_oracle(self):
+        # caps 9 to 12 on every unordered pair of weight 6 or less
+        pool = list(partitions_up_to(6))
+        for cap in range(9, 13):
+            clear_caches()
+            for i, a in enumerate(pool):
+                for b in pool[i:]:
+                    if a.weight + b.weight <= 6:
+                        assert mul(a, b, cap=cap) == mul_tableau(a, b, cap=cap), (a, b, cap)
+        clear_caches()
 
 
 class TestMul:
