@@ -125,7 +125,7 @@ class LRElement:
 
     def truncated(self, l: int) -> "LRElement":
         """Image in the quotient that kills partitions longer than l (at most the cap)."""
-        if l < 0:
+        if as_int(l, "length") < 0:
             raise ValueError(f"negative length {l}")
         if self._cap is not None and l > self._cap:
             raise CapMismatch(f"cannot raise cap {self._cap} to {l}")

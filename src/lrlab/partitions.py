@@ -128,7 +128,7 @@ class Partition:
 
     def scaled(self, n: int) -> "Partition":
         """Entrywise multiple n*A."""
-        if n < 0:
+        if as_int(n, "scale", InvalidPartition) < 0:
             raise InvalidPartition("negative scale")
         if n == 0:
             return Partition._trusted(())

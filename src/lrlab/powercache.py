@@ -62,14 +62,10 @@ def _terms(line: str) -> Terms:
 
 
 def _line(key: Key, terms: Terms) -> str:
-    """A power's record, terms in descending order, with the bytes json.dumps
-    writes for it but without building its terms as JSON lists."""
+    """A power's record, terms in descending order."""
     parts, n, cap = key
-    head = json.dumps({"partition": list(parts), "n": n, "cap": cap})
-    body = ", ".join(
-        f'[[{", ".join(map(str, t))}], "{terms[t]}"]' for t in sorted(terms, reverse=True)
-    )
-    return f'{head[:-1]}, "terms": [{body}]}}\n'
+    rows = [[list(t), str(terms[t])] for t in sorted(terms, reverse=True)]
+    return json.dumps({"partition": list(parts), "n": n, "cap": cap, "terms": rows}) + "\n"
 
 
 class PowerCache:

@@ -24,18 +24,20 @@ factor with fewer columns, then more rows, then the first of its key: each
 term of E(x) dominates x' (Macdonald I.6), so it has at most x[0] parts and
 a first part of at least len(x). A product's peak depends only on its pair.
 
-Under a cap l the vertical-strip step works on packed ints: a partition of at
-most l rows is one int with B bits per row, top row first, where B bounds
-the largest part the call can build (its start's largest first part plus its
-most columns) with one spare bit. A strip of height r adds a 0/1 pattern v
-whose ones take a top segment of each run of equal rows, and the runs come
-from one borrow-free subtraction of x from x shifted down a row. The patterns
-are memoised per (l, B, r, runs), largest first, so every step lists its
-terms in the order of the tuple recursion. _apply packs its start and unpacks
-its sum. Uncapped steps keep that recursion on part tuples: one memo table
-per column height, keyed by the part tuple, which _apply looks up inline.
-Both steps intern every tuple they make in _canon, so each partition exists
-once and memo values, products and powers hold references to it.
+One strip rule serves both vertical-strip steps (Pieri, Macdonald I.5): a
+column of height r adds the top k rows of each run of equal rows, the k
+summing to r, and each step takes the k of a run from the largest down, so
+both list a step's terms in decreasing order. Uncapped, the step recurses on
+part tuples one run per level: one memo table per column height, keyed by
+the part tuple, which _apply looks up inline. Under a cap l it works on
+packed ints: a partition of at most l rows is one int with B bits per row,
+top row first, where B bounds the largest part the call can build (its
+start's largest first part plus its most columns) with one spare bit. The
+runs come from one borrow-free subtraction of x from x shifted down a row,
+and the 0/1 patterns a strip adds are memoised per (l, B, r, runs). _apply
+packs its start and unpacks its sum. Both steps intern every tuple they
+make in _canon, so each partition exists once and memo values, products and
+powers hold references to it.
 
 Every expansion, product and power memo value is a pair (result, peak),
 where peak is the largest term count any step of its computation reached,
@@ -104,19 +106,17 @@ def _pieri(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
         return hit
     canon = _canon.setdefault
     parts = canon(parts, parts)
-    if r == 0:
-        out = (parts,)
-    elif not parts:
-        out = (canon((1,) * r, (1,) * r),)
+    if r == 0 or not parts:
+        v = parts + (1,) * r
+        out = (canon(v, v),)
     else:
-        head, tail = parts[0], parts[1:]
+        head = parts[0]
+        run = parts.count(head)  # the first run of equal rows
         res = []
-        for u in _pieri(tail, r - 1):
-            v = (head + 1,) + u
-            res.append(canon(v, v))
-        for u in _pieri(tail, r):
-            if not u or head >= u[0]:
-                v = (head,) + u
+        for k in range(min(run, r), -1, -1):
+            top = (head + 1,) * k + (head,) * (run - k)
+            for u in _pieri(parts[run:], r - k):
+                v = top + u
                 res.append(canon(v, v))
         out = tuple(res)
     table[parts] = out
@@ -138,7 +138,7 @@ def _patterns(cap: int, bits: int, r: int, key: int) -> tuple[int, ...]:
     """The strips of height r a packed partition with runs key accepts, largest first.
 
     Row i starts a run of equal rows when i = 0 or key has the top bit of its
-    field set; a strip takes the top k rows of each run, the k summing to r.
+    field set.
     """
     runs: list[list[int]] = []
     for i in range(cap):
@@ -146,11 +146,11 @@ def _patterns(cap: int, bits: int, r: int, key: int) -> tuple[int, ...]:
         if not i or key & unit << bits - 1:
             runs.append([])
         runs[-1].append(unit)
-    partial = [(0, 0)]  # (pattern, height) over the runs so far
+    partial = [(0, 0)]  # (pattern, height) over the runs so far, largest first
     for run in runs:
         tops = list(accumulate(run, initial=0))
-        partial = [(v + top, h + k) for v, h in partial for k, top in enumerate(tops) if h + k <= r]
-    return tuple(sorted((v for v, h in partial if h == r), reverse=True))
+        partial = [(v + tops[k], h + k) for v, h in partial for k in range(min(len(run), r - h), -1, -1)]
+    return tuple(v for v, h in partial if h == r)
 
 
 def _packed_step(cap: int, bits: int):

@@ -665,6 +665,13 @@ class TestNegativeOptions:
         captured = capsys.readouterr()
         assert captured.out == "" and "non-negative" in captured.err
 
+    def test_non_integer_is_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mul", "[1]", "[1]", "--l", "x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid int value: 'x'" in captured.err
+
 
 class TestDeterminism:
     def test_verify_bytes_stable_across_threads(self):

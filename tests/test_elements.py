@@ -77,7 +77,7 @@ class TestTruncate:
 
     @pytest.mark.parametrize("cap", [None, 2])
     def test_negative_length(self, cap):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative length -1$"):
             E({(1,): 1}, cap=cap).truncated(-1)
 
 

@@ -120,3 +120,8 @@ class TestPackageSurface:
             lrlab.no_such_name
         with pytest.raises(ImportError):
             exec("from lrlab import no_such_name", {})
+
+    def test_submodule_attribute_imports_its_module(self):
+        # in this process the import system has already bound lrlab.product, so ask
+        # the package's own lookup
+        assert lrlab.__getattr__("product") is sys.modules["lrlab.product"]

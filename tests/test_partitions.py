@@ -57,6 +57,18 @@ class TestCanonicalForm:
         with pytest.raises(InvalidPartition, match=f"^part {shown} is not an integer$"):
             Partition(parts)
 
+    def test_rejects_a_negative_part(self):
+        with pytest.raises(InvalidPartition, match=r"^\[3, -1\] has negative parts$"):
+            Partition([3, -1])
+
+    # scaled(1.5) once returned the parts [3.0, 1.5]
+    @pytest.mark.parametrize(
+        "n, message", [(1.5, "scale 1.5 is not an integer"), (-1, "negative scale")]
+    )
+    def test_scale_must_be_a_non_negative_integer(self, n, message):
+        with pytest.raises(InvalidPartition, match=f"^{message}$"):
+            P(2, 1).scaled(n)
+
     def test_indexing_past_end_reads_zero(self):
         assert P(3, 1)[5] == 0
 

@@ -202,11 +202,23 @@ class TestStripStep:
                         assert first.setdefault(u, u) is u
 
     def test_memo_and_intern_counts_after_a_power(self):
-        # counts, not bytes; a memo keyed by (parts, r, cap) also holds 61,953 entries here
+        # counts, not bytes
         clear_caches()
         tensor_power(P(3, 1), 8)
-        assert sum(len(table) for table in product._pieri_memo.values()) == 61_953
-        assert len(product._canon) == 35_847
+        assert sum(len(table) for table in product._pieri_memo.values()) == 58_884
+        assert len(product._canon) == 35_452
+
+    def test_tall_shapes_recurse_once_per_run_of_equal_rows(self):
+        # a recursion one row per level overflows the stack at 1,000 rows
+        clear_caches()
+        assert mul(P(*[2] * 1000), P(1)) == E({(3,) + (2,) * 999: 1, (2,) * 1000 + (1,): 1})
+        clear_caches()
+        assert mul(P(300), P(300)) == E({(600 - k, k): 1 for k in range(301)})
+        assert sum(len(table) for table in product._pieri_memo.values()) == 302
+        assert len(product._canon) == 903
+        column = P(*[1] * 400)
+        assert mul(column, column) == E({(2,) * k + (1,) * (800 - 2 * k): 1 for k in range(401)})
+        clear_caches()
 
     def test_capped_power_builds_no_strip_table(self):
         # a capped step keeps one pattern tuple per (cap, bits, height, runs of equal rows),
@@ -587,7 +599,8 @@ NEGATIVE_CAP_CALLS = {
     "LRElement": lambda: LRElement({P(1): 1}, cap=-1),
 }
 
-# a fractional exponent once stepped the power walk past 0 for ever; a fractional cap was accepted
+# a fractional exponent once stepped the power walk past 0 for ever; a fractional cap or
+# truncation length was accepted
 NON_INTEGER_CALLS = {
     "exponent_2.5": (lambda: tensor_power(P(2), 2.5), "exponent 2.5"),
     "exponent_2.0": (lambda: tensor_power(P(2), 2.0), "exponent 2.0"),
@@ -596,6 +609,7 @@ NON_INTEGER_CALLS = {
     "mul_tableau_cap_1.5": (lambda: mul_tableau(P(2, 1), P(1), cap=1.5), "cap 1.5"),
     "tensor_power_cap_1.5": (lambda: tensor_power(P(2), 2, cap=1.5), "cap 1.5"),
     "LRElement_cap_1.5": (lambda: LRElement({P(1): 1}, cap=1.5), "cap 1.5"),
+    "truncated_1.5": (lambda: LRElement({P(1): 1}).truncated(1.5), "length 1.5"),
 }
 
 

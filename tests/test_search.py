@@ -91,6 +91,11 @@ class TestTransfer:
         with pytest.raises(HypothesisFails):
             transfer_witness(P(1, 1), P(2), 2)
 
+    def test_partition_longer_than_d(self):
+        message = r"^lengths of \[1,1,1\], \[3\] must be at most 2$"
+        with pytest.raises(HypothesisFails, match=message):
+            transfer_witness(P(1, 1, 1), P(3), 2)
+
     def test_not_found_within(self):
         with pytest.raises(NotFoundWithin):
             transfer_witness(P(2), P(1, 1), 2, t_max=1)
