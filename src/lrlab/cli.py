@@ -155,6 +155,8 @@ def _cmd_verify(args) -> Output:
     from .verify import default_bounds, verify_all, verify_lemma
 
     bounds = {k: getattr(args, k) for k in _BOUND_NAMES if getattr(args, k) is not None}
+    if args.all and args.lemma:
+        raise UsageError("verify takes --lemma ID or --all, not both")
     if args.all:
         reports = verify_all(bounds or None)
     elif args.lemma:

@@ -116,7 +116,9 @@ class Partition:
             self.padded(l), other.padded(l)  # raises for the first operand longer than l
         if len(a) < len(b):
             a, b = b, a
-        return Partition._trusted(tuple(map(add, a, b)) + a[len(b) :])
+        out = object.__new__(Partition)
+        out._parts = tuple(map(add, a, b)) + a[len(b) :]
+        return out
 
     def shifted(self, vector: Sequence[int]) -> "Partition | None":
         """Sum with an integer vector, self padded to the vector's length;
@@ -236,14 +238,14 @@ def interpolating_sequence(a: Partition, b: Partition) -> list[Partition]:
     n = max(len(a), len(b))
     cur = list(a.padded(n))
     tgt = b.padded(n)
-    alpha = 0  # first row too short; rows above it only lose cells down to their target
-    while tuple(cur) != tgt:
-        while cur[alpha] >= tgt[alpha]:
-            alpha += 1
-        beta = next(i for i in range(alpha - 1, -1, -1) if cur[i] > tgt[i])
-        cur[beta] -= 1
-        cur[alpha] += 1
-        out.append(Partition._trusted(_strip(tuple(cur))))
+    for alpha in range(n):  # fill the rows too short, top down; rows above alpha only lose cells
+        while cur[alpha] < tgt[alpha]:
+            beta = alpha - 1
+            while cur[beta] <= tgt[beta]:
+                beta -= 1
+            cur[beta] -= 1
+            cur[alpha] += 1
+            out.append(Partition._trusted(_strip(tuple(cur))))
     return out
 
 

@@ -19,7 +19,8 @@ no threads, so no memo table has concurrent readers. The product memo is
 keyed by the unordered pair of factors in lexicographic order, so mul(a, b)
 and mul(b, a) share one entry. An uncapped pair with more columns than rows,
 a[0] + b[0] > len(a) + len(b), is wide: its entry holds the transpose of its
-conjugate pair's terms, and that pair's peak. Any other pair expands the
+conjugate pair's terms, and that pair's peak; the conjugation memo
+_conj_memo transposes each interned term once. Any other pair expands the
 factor with fewer columns, then more rows, then the first of its key: each
 term of E(x) dominates x' (Macdonald I.6), so it has at most x[0] parts and
 a first part of at least len(x). A product's peak depends only on its pair.
@@ -67,21 +68,39 @@ _canon: dict = {}  # intern table: the one tuple of each partition a step built
 _exp_memo: dict = {}
 _mul_memo: dict = {}
 _power_memo: dict = {}
+_conj_memo: dict = {}  # interned term -> its interned conjugate, for wide pairs
+_held: list[int] | None = None  # inside _budget_read_once: [] until the first read, then [budget]
 
 
 def term_budget(explicit: int | None = None) -> int:
     """Effective term budget: explicit argument, else environment, else default.
-    A budget that is negative or not an integer raises ValueError naming it."""
+    Inside _budget_read_once the environment is read by the first call that
+    needs it and its budget serves the rest of the block. A budget that is
+    negative or not an integer raises ValueError naming it."""
+    if explicit is None and _held:
+        return _held[0]
     name, value = "budget", explicit
     if explicit is None:
-        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR)
-        if value is None:
-            return DEFAULT_TERM_BUDGET
+        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR, DEFAULT_TERM_BUDGET)
         with contextlib.suppress(ValueError):
             value = int(value)
     if not isinstance(value, int) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    if explicit is None and _held is not None:
+        _held.append(value)
     return value
+
+
+@contextlib.contextmanager
+def _budget_read_once():
+    """Calls without an explicit budget inside the block share one reading of
+    the environment; after the block, raised out of or not, each reads it again."""
+    global _held
+    outer, _held = _held, []
+    try:
+        yield
+    finally:
+        _held = outer
 
 
 def clear_caches() -> None:
@@ -91,6 +110,7 @@ def clear_caches() -> None:
     _exp_memo.clear()
     _mul_memo.clear()
     _power_memo.clear()
+    _conj_memo.clear()
 
 
 def _check_budget(terms: int, budget: int) -> None:
@@ -278,9 +298,14 @@ def _mul_parts(
         # wide, more columns than rows: s_a s_b is the transpose of s_a' s_b', whose
         # pair is not wide; the entry holds the transposed terms and that pair's peak
         terms, peak = _mul_parts(conjugate_parts(a), conjugate_parts(b), None, budget)
-        canon = _canon.setdefault
-        terms = {canon(t, t): m for t, m in zip(map(conjugate_parts, terms), terms.values())}
-        hit = _mul_memo[key] = (terms, peak)
+        conj, out = _conj_memo.get, {}
+        for t, m in terms.items():
+            c = conj(t)
+            if c is None:
+                c = conjugate_parts(t)
+                c = _conj_memo[t] = _canon.setdefault(c, c)
+            out[c] = m
+        hit = _mul_memo[key] = (out, peak)
     elif hit is None:
         # expand the factor with fewer columns, on a tie the one with more rows, then the first
         x, base = (a, b) if (a[:1], -len(a)) <= (b[:1], -len(b)) else (b, a)
@@ -293,7 +318,8 @@ def _mul_parts(
 
 def mul(a: Partition, b: Partition, cap: int | None = None, budget: int | None = None) -> LRElement:
     """Product of two basis partitions (signed column expansion)."""
-    check_cap(cap)
+    if cap is not None:
+        check_cap(cap)
     terms, _ = _mul_parts(a.parts, b.parts, cap, term_budget(budget))
     return LRElement._from_raw(terms, cap)
 

@@ -1,24 +1,26 @@
 """Bounded machine verification of the product identities and containments.
 
 Each suite is one generator whose keyword-only parameters are its bounds;
-the term budget is the product layer's (LRLAB_BUDGET or its default). A
-suite enumerates every instance that satisfies its hypotheses inside the
-bounds, checks the claimed containment or equality there, with exact
-arithmetic, and yields the instance, a dict of the values it already holds
-(partitions, ints, part tuples), together with its failure reason, or None
-when the claim holds. verify_lemma counts the instances and writes only the
-failing ones as records, in enumeration order, with partitions as part
-lists; so a report is byte-stable and each recorded failure can be replayed
-from its record alone.
+the term budget is the product layer's (LRLAB_BUDGET or its default), read
+once per sweep by its first product or power. A suite enumerates every
+instance that satisfies its hypotheses inside the bounds, checks the claimed
+containment or equality there, with exact arithmetic, and yields the
+instance, a dict of the values it already holds (partitions, ints, part
+tuples), together with its failure reason, or None when the claim holds.
+verify_lemma counts the instances and writes only the failing ones as
+records, in enumeration order, with partitions as part lists; so a report is
+byte-stable and each recorded failure can be replayed from its record alone.
 
 A suite asks for one coefficient of a power or a product through
 _missing_from_power or _missing_from_product, which word a miss; MULT_CIRC
-and MULT_PLUS keep the products they read many coefficients from.
+and MULT_PLUS keep the products they read many coefficients from, and
+CHI_SYMMETRY the terms of each A x B.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, compress, product
+from operator import ge, ne
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -29,14 +31,13 @@ from .partitions import (
     Partition,
     diagram_distance,
     dominance_compare,
-    dominates,
     interpolating_sequence,
     lcm_upto,
     partitions_of,
     partitions_up_to,
     single_column,
 )
-from .product import mul, tensor_power
+from .product import _budget_read_once, mul, tensor_power
 from .reports import VerificationReport
 from .subdivisions import (
     Subdivision,
@@ -223,17 +224,19 @@ def _a_mult_pp(*, max_weight=4, max_l=3, max_k=2) -> Checked:
 
 def _mult_plus(*, max_weight=6) -> Checked:
     pool = list(partitions_up_to(max_weight))
-    for b1 in pool:
-        for c1 in pool:
-            w1 = b1.weight + c1.weight
-            if w1 > max_weight:
-                break
-            supp1 = [q for q, _ in mul(b1, c1).items()]
-            for b2 in pool:
-                for c2 in pool:
-                    if w1 + b2.weight + c2.weight > max_weight:
+    weights = [p.weight for p in pool]
+    # row i: (C, |pool[i]| + |C|, support of pool[i] x C) for each C the weight allows
+    rows = [
+        [(c, wb + wc, [q for q, _ in mul(b, c).items()])
+         for c, wc in zip(pool, weights) if wb + wc <= max_weight]
+        for b, wb in zip(pool, weights)
+    ]
+    for b1, row1 in zip(pool, rows):
+        for c1, w1, supp1 in row1:
+            for b2, row2 in zip(pool, rows):
+                for c2, w2, supp2 in row2:
+                    if w1 + w2 > max_weight:
                         break
-                    supp2 = [q for q, _ in mul(b2, c2).items()]
                     big = mul(b1.plus(b2), c1.plus(c2))
                     for a1 in supp1:
                         for a2 in supp2:
@@ -289,16 +292,18 @@ def _chain_reason(a: Partition, b: Partition) -> str | None:
     symmetric difference of the two diagrams, or None.
 
     Partitions are padded to one length, so distances are sums of positive
-    row differences. Where step i is longer than step i+1 in row r, its cell
-    lies in a's part of the difference iff b_r <= s_{i+1}[r] and s_i[r] <= a_r;
-    the mirror holds where step i+1 is longer. Adjacent steps suffice: once
-    the length and one-cell checks pass, distance + 1 one-cell steps lead
-    from a to b, so every row moves monotonically from a_r to b_r and the
-    cells between any two steps are those of the adjacent steps in between.
-    For the same reason the check cannot fail then; it is a cheap guard.
+    row differences. A step moves one cell when exactly two rows change, the
+    upper losing a cell and the lower gaining one; it stays inside the
+    difference when the losing row keeps b_r <= new <= old <= a_r and the
+    gaining row a_r <= old < new <= b_r. Adjacent steps suffice: once the
+    length and one-cell checks pass, distance + 1 one-cell steps lead from a
+    to b, so every row moves monotonically from a_r to b_r and the cells
+    between any two steps are those of the adjacent steps in between. For
+    the same reason the containment check cannot fail then; it is a cheap
+    guard, and its reason comes after every one-cell reason.
     """
     seq = interpolating_sequence(a, b)
-    n = max(len(p) for p in (a, b, *seq))
+    n = max(map(len, (a, b, *seq)))
     pa, pb = a.padded(n), b.padded(n)
     rows = [p.padded(n) for p in seq]
     dist = sum(x - y for x, y in zip(pa, pb) if x > y)
@@ -306,27 +311,28 @@ def _chain_reason(a: Partition, b: Partition) -> str | None:
         return f"length {len(seq)} differs from distance {dist} + 1"
     if seq[0] != a or seq[-1] != b:
         return "endpoints wrong"
-    for x, y, px, py in zip(seq, seq[1:], rows, rows[1:]):
-        down = sum(p - q for p, q in zip(px, py) if p > q)
-        up = sum(q - p for p, q in zip(px, py) if q > p)
-        if down != 1 or up != 1:
-            return f"adjacent distance is not 1 between {x} and {y}"
-        # one cell moved, so x dominates y iff the cell left the upper row
-        if px < py:
-            return f"{x} does not strictly dominate {y}"
+    outside = None
     for i, (px, py) in enumerate(zip(rows, rows[1:])):
-        for p, q, ar, br in zip(px, py, pa, pb):
-            if (p > q and (q < br or p > ar)) or (q > p and (p < ar or q > br)):
-                return f"cells of step {i}->{i + 1} leave the symmetric difference"
-    return None
+        moved = list(compress(range(n), map(ne, px, py)))
+        if len(moved) == 2:
+            r, s = moved
+            down, up = px[r] - py[r], py[s] - px[s]
+        if len(moved) != 2 or down != up or down not in (1, -1):
+            return f"adjacent distance is not 1 between {seq[i]} and {seq[i + 1]}"
+        if down < 0:  # the cell went up a row
+            return f"{seq[i]} does not strictly dominate {seq[i + 1]}"
+        if outside is None and (py[r] < pb[r] or px[r] > pa[r] or px[s] < pa[s] or py[s] > pb[s]):
+            outside = f"cells of step {i}->{i + 1} leave the symmetric difference"
+    return outside
 
 
 def _pseq(*, max_weight=8) -> Checked:
     for weight in range(max_weight + 1):
         pool = list(partitions_of(weight))
-        for a in pool:
-            for b in pool:
-                if dominates(a, b):
+        sums = [tuple(accumulate(p.padded(weight))) for p in pool]
+        for a, sa in zip(pool, sums):
+            for b, sb in zip(pool, sums):
+                if all(map(ge, sa, sb)):  # a dominates b
                     yield {"A": a, "B": b}, _chain_reason(a, b)
 
 
@@ -341,13 +347,19 @@ def _chi_symmetry(*, max_weight=4, max_l=3, max_shift=4) -> Checked:
                 pa = det.scaled(m).shifted(neg)
                 if pa is not None:
                     shifted.append((a, m, pa))
+        negated = {}  # (A, B) -> (C, chi(C), multiplicity) for the terms C of A x B
         for a, m, pa in shifted:
             for b, n, pb in shifted:
                 lhs = mul(pa, pb, cap=l)
+                terms = negated.get((a, b))
+                if terms is None:
+                    terms = [(c, reversed_negation(c, l), k) for c, k in mul(a, b, cap=l).items()]
+                    negated[a, b] = terms
+                shift = det.scaled(m + n)
                 image: dict[Partition, int] = {}
                 reason = None
-                for c, mult in mul(a, b, cap=l).items():
-                    q = det.scaled(m + n).shifted(reversed_negation(c, l))
+                for c, neg, mult in terms:
+                    q = shift.shifted(neg)
                     if q is None:
                         reason = f"image of {c} under the symmetry is not a partition"
                         break
@@ -431,10 +443,11 @@ def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> Verific
     start = perf_counter()
     cases = 0
     failures = []
-    for instance, reason in _SUITES[lemma_id](**eff):
-        cases += 1
-        if reason is not None:
-            failures.append(_failure_record(instance, reason))
+    with _budget_read_once():
+        for instance, reason in _SUITES[lemma_id](**eff):
+            cases += 1
+            if reason is not None:
+                failures.append(_failure_record(instance, reason))
     return VerificationReport(
         lemma_id=lemma_id,
         bounds=eff,

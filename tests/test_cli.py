@@ -187,6 +187,29 @@ class TestVerifyCommand:
     def test_needs_a_target(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--all", "--lemma", "PSEQ"], ["--lemma", "CHI", "--all", "--max-l", "2"]])
+    def test_lemma_and_all_together_is_usage_error(self, capsys, argv):
+        # both once ran all fourteen suites and exited 0
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify takes --lemma ID or --all, not both\n"
+
+    def test_sweep_without_products_never_reads_the_budget(self):
+        code, out, err = run_proc("verify", "--lemma", "PSEQ", env_extra={"LRLAB_BUDGET": "abc"})
+        assert (code, out, err) == (0, b"PSEQ: PASS (cases=472, failures=0)\n", b"")
+
+    @pytest.mark.parametrize(
+        "value, code, shown",
+        [
+            ("abc", 2, "error: LRLAB_BUDGET must be a non-negative integer, not 'abc'"),
+            ("0", 3, "error: 1 terms exceed budget 0"),
+        ],
+    )
+    def test_sweep_that_multiplies_reads_the_budget(self, value, code, shown):
+        got = run_proc("verify", "--lemma", "SMALLER", env_extra={"LRLAB_BUDGET": value})
+        assert got == (code, b"", f"{shown}\n".encode())
+
     def test_help_lists_the_suites_in_registry_order(self, capsys):
         from lrlab.verify import LEMMA_IDS
 

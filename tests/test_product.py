@@ -561,6 +561,37 @@ class TestUnorderedProductMemo:
         clear_caches()
 
 
+class TestWidePairConjugationMemo:
+    """A wide pair transposes its conjugate pair's terms through _conj_memo."""
+
+    WIDE = [
+        (a, b)
+        for a in partitions_up_to(6)
+        for b in partitions_up_to(6 - a.weight)
+        if sum(a.parts[:1] + b.parts[:1]) > len(a) + len(b)
+    ]
+
+    def test_every_wide_pair_matches_tableau_oracle_cold_and_warm(self):
+        assert len(self.WIDE) == 56  # pairs of total weight <= 6
+        for a, b in self.WIDE:
+            clear_caches()
+            assert mul(a, b) == mul_tableau(a, b), (a, b)
+            assert product._conj_memo, (a, b)
+        for _ in range(2):  # the first pass fills the memo for later pairs, the second only reads it
+            for a, b in self.WIDE:
+                assert mul(a, b) == mul_tableau(a, b), (a, b)
+        clear_caches()
+
+    def test_conjugates_are_interned_and_clear_caches_empties_the_memo(self):
+        clear_caches()
+        mul(P(3), P(2))
+        assert product._conj_memo == {(2, 2, 1): (3, 2), (2, 1, 1, 1): (4, 1), (1, 1, 1, 1, 1): (5,)}
+        for t in product._conj_memo.values():
+            assert product._canon[t] is t
+        clear_caches()
+        assert product._conj_memo == {}
+
+
 class TestOneExpansionPerProduct:
     def test_only_the_chosen_factor_is_expanded(self):
         # (1) has fewer columns than (3,2,1), so E((3,2,1)) and its sub-expansions

@@ -7,27 +7,33 @@ instances each suite is built from.
 
 import hashlib
 import json
+import os
 import pathlib
 import re
+import types
 
 import pytest
 
 import lrlab.cli as cli_mod
+import lrlab.product as product_mod
 import lrlab.verify as verify_mod
 from lrlab import (
     LEMMA_IDS,
     LRElement,
     Partition,
     VerificationReport,
+    clear_caches,
     default_bounds,
+    dominates,
     interpolating_sequence,
     mul,
+    partitions_of,
     single_column,
     tensor_power,
     verify_all,
     verify_lemma,
 )
-from lrlab.errors import UnknownLemma
+from lrlab.errors import BudgetExceeded, UnknownLemma
 
 
 def P(*parts):
@@ -317,3 +323,156 @@ def test_chain_reason_pins(monkeypatch, a, b, chain, reason):
     # one-cell checks moves every row monotonically, so it cannot fire
     monkeypatch.setattr(verify_mod, "interpolating_sequence", lambda x, y: [P(*c) for c in chain])
     assert verify_mod._chain_reason(P(*a), P(*b)) == reason
+
+
+def _chain_reason_oracle(a, b, seq):
+    """The two-pass chain check, kept as the reference for _chain_reason."""
+    n = max(len(p) for p in (a, b, *seq))
+    pa, pb = a.padded(n), b.padded(n)
+    rows = [p.padded(n) for p in seq]
+    dist = sum(x - y for x, y in zip(pa, pb) if x > y)
+    if len(seq) != dist + 1:
+        return f"length {len(seq)} differs from distance {dist} + 1"
+    if seq[0] != a or seq[-1] != b:
+        return "endpoints wrong"
+    for x, y, px, py in zip(seq, seq[1:], rows, rows[1:]):
+        down = sum(p - q for p, q in zip(px, py) if p > q)
+        up = sum(q - p for p, q in zip(px, py) if q > p)
+        if down != 1 or up != 1:
+            return f"adjacent distance is not 1 between {x} and {y}"
+        if px < py:
+            return f"{x} does not strictly dominate {y}"
+    for i, (px, py) in enumerate(zip(rows, rows[1:])):
+        for p, q, ar, br in zip(px, py, pa, pb):
+            if (p > q and (q < br or p > ar)) or (q > p and (p < ar or q > br)):
+                return f"cells of step {i}->{i + 1} leave the symmetric difference"
+    return None
+
+
+def _dominating_pairs(max_weight):
+    for w in range(max_weight + 1):
+        pool = list(partitions_of(w))
+        yield from ((a, b) for a in pool for b in pool if dominates(a, b))
+
+
+def _step_out(a, b, x):
+    """x with one cell moved down into a row it leaves the difference of a and b by, or None."""
+    n = max(len(a), len(b), len(x)) + 1
+    pa, pb, rows = a.padded(n), b.padded(n), list(x.padded(n))
+    for r in range(n):
+        for s in range(r + 1, n):
+            y = rows.copy()
+            y[r] -= 1
+            y[s] += 1
+            if all(p >= q for p, q in zip(y, y[1:])) and (y[r] < pb[r] or y[s] > pb[s] or rows[s] < pa[s]):
+                return Partition(y)
+    return None
+
+
+def _mutations(a, b, seq):
+    """Broken chains from a to b: a step dropped, duplicated or swapped, a
+    wrong endpoint, a two-cell step, a step up, a step out of the difference."""
+    k = len(seq)
+    for i in range(k):
+        yield seq[:i] + seq[i + 1 :]
+        yield seq[:i + 1] + seq[i:]
+    for i in range(k - 1):
+        yield seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2 :]
+    yield [a.plus(P(1))] + seq[1:]
+    yield seq[:-1] + [b.plus(P(1))]
+    yield [b] + seq[1:-1] + [a]
+    for i in range(k - 2):
+        yield seq[:i + 1] + [seq[i + 2]] + seq[i + 2 :]  # two cells at once, then none
+    for i in range(k - 2):  # a cell moved up from the last row, then two cells down
+        x = seq[i]
+        if len(x) > 1:
+            yield seq[:i + 1] + [Partition((x[0] + 1, *x.parts[1:-1], x.parts[-1] - 1))] + seq[i + 2 :]
+    for i in range(k - 2):  # one cell out of the difference, then back in two cells at once
+        y = _step_out(a, b, seq[i])
+        if y is not None:
+            yield seq[:i + 1] + [y] + seq[i + 2 :]
+    for i in range(k):  # out to a cell below every row of a and b, and back
+        yield seq[:i + 1] + [Partition(seq[i].parts + (1,)), seq[i]] + seq[i + 1 :]
+
+
+def test_chain_reason_matches_two_pass_oracle_on_every_chain_to_weight_10(monkeypatch):
+    chains = {}
+    monkeypatch.setattr(verify_mod, "interpolating_sequence", lambda x, y: chains[x, y])
+    pairs = list(_dominating_pairs(10))
+    assert len(pairs) == 1_720
+    for a, b in pairs:
+        chains[a, b] = interpolating_sequence(a, b)
+        assert verify_mod._chain_reason(a, b) is None
+        assert _chain_reason_oracle(a, b, chains[a, b]) is None
+
+
+def test_chain_reason_matches_two_pass_oracle_on_broken_chains(monkeypatch):
+    chain = []
+    monkeypatch.setattr(verify_mod, "interpolating_sequence", lambda x, y: chain)
+    seen = set()
+    for a, b in _dominating_pairs(10):
+        for chain[:] in _mutations(a, b, interpolating_sequence(a, b)):
+            reason = verify_mod._chain_reason(a, b)
+            assert reason == _chain_reason_oracle(a, b, chain), (a, b, chain)
+            seen.add(reason and re.sub(r"[\d\[\],]+", "#", reason))
+    assert seen == {
+        "length # differs from distance # + #",
+        "endpoints wrong",
+        "adjacent distance is not # between # and #",
+        "# does not strictly dominate #",
+    }
+
+
+def test_pseq_prefix_sum_filter_yields_the_dominating_pairs_in_order(monkeypatch):
+    monkeypatch.setattr(verify_mod, "_chain_reason", lambda a, b: None)
+    got = [(case["A"], case["B"]) for case, _ in verify_mod._pseq(max_weight=12)]
+    assert got == list(_dominating_pairs(12))
+
+
+# ------------------------------------------------------------ budget reads
+
+
+class _CountingEnviron(dict):
+    def __init__(self, source):
+        super().__init__(source)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "LRLAB_BUDGET"
+        return super().get(key, default)
+
+
+@pytest.fixture
+def counted_env(monkeypatch):
+    env = _CountingEnviron(os.environ)
+    monkeypatch.setattr(product_mod, "os", types.SimpleNamespace(environ=env))
+    return env
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_one_sweep_reads_the_budget_at_most_once(counted_env, lemma_id):
+    clear_caches()
+    verify_lemma(lemma_id, SMALL_BOUNDS[lemma_id])
+    assert counted_env.reads == (lemma_id != "PSEQ")
+    mul(P(2, 1), P(1))
+    mul(P(2, 1), P(1))
+    assert counted_env.reads == (lemma_id != "PSEQ") + 2  # outside a sweep each call reads it
+
+
+def test_budget_changed_between_sweeps_applies_to_the_second(monkeypatch):
+    monkeypatch.delenv("LRLAB_BUDGET", raising=False)
+    assert verify_lemma("SMALLER", SMALL_BOUNDS["SMALLER"]).passed
+    monkeypatch.setenv("LRLAB_BUDGET", "0")
+    with pytest.raises(BudgetExceeded, match=" terms exceed budget 0$"):
+        verify_lemma("SMALLER", SMALL_BOUNDS["SMALLER"])
+
+
+def test_mul_reads_the_environment_again_after_a_sweep_raised(monkeypatch):
+    monkeypatch.setenv("LRLAB_BUDGET", "0")
+    with pytest.raises(BudgetExceeded):
+        verify_all(SMALL_BOUNDS["SMALLER"])
+    monkeypatch.setenv("LRLAB_BUDGET", "abc")
+    with pytest.raises(ValueError, match="^LRLAB_BUDGET must be a non-negative integer, not 'abc'$"):
+        mul(P(2, 1), P(1))
+    monkeypatch.setenv("LRLAB_BUDGET", "7")
+    assert mul(P(2, 1), P(1)) == mul(P(2, 1), P(1), budget=7)
