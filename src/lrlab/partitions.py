@@ -9,7 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import zip_longest
 from math import lcm
-from operator import add, index
+from operator import add, index, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidPartition, NotComparable, NotWeaklyDecreasing
@@ -123,8 +123,8 @@ class Partition:
     def shifted(self, vector: Sequence[int]) -> "Partition | None":
         """Sum with an integer vector, self padded to the vector's length;
         None when the sum is not a partition."""
-        s = tuple(x + y for x, y in zip(self.padded(len(vector)), vector))
-        if any(x < y for x, y in zip(s, s[1:])) or (s and s[-1] < 0):
+        s = tuple(map(add, self.padded(len(vector)), vector))
+        if any(map(lt, s, s[1:])) or (s and s[-1] < 0):
             return None
         return Partition._trusted(_strip(s))
 
