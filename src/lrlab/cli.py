@@ -4,7 +4,8 @@ Subcommands map one-to-one onto library operations and emit either plain
 text or the JSON schemas of the library types. Output is byte-deterministic
 for a fixed build and input; exit codes: 0 success or PASS, 1 a verification
 failed or a claimed witness does not exist, 2 usage error (any other LRLabError
-but InternalCheckError, a ValueError or an OSError), 3 budget or memory exhausted.
+but InternalCheckError, a ValueError or an OSError), 3 budget, memory or
+recursion depth exhausted.
 
 Each subcommand imports only the layers it runs, when it runs: a cold
 `dominance` or `interpolate` loads `errors` and `partitions` alone, and
@@ -340,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(f"error: recursion deeper than the limit of {sys.getrecursionlimit()} frames", file=sys.stderr)
         return 3
     except (NoDecomposition, NotFoundWithin) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)

@@ -266,8 +266,6 @@ def partitions_of(n: int, max_len: int | None = None, max_part: int | None = Non
         if rem == 0:
             yield Partition._trusted(tuple(acc))
             return
-        if slots == 0:
-            return
         hi = min(prev, rem)
         lo = -(-rem // slots)
         for v in range(hi, lo - 1, -1):

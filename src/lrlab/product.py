@@ -42,10 +42,10 @@ powers hold references to it.
 
 Every expansion, product and power memo value is a pair (result, peak),
 where peak is the largest term count any step of its computation reached,
-sub-computations included. A hit whose peak exceeds the caller's budget
-raises BudgetExceeded as the cold computation would have, so the outcome of
-a call does not depend on what ran before it. A power read from an on-disk
-cache is the exception: its file record has no peak, so its size stands in.
+sub-computations included. An entry is reused only when its peak fits the
+caller's budget; else the call runs cold and raises BudgetExceeded at its
+first step past the budget, whatever ran before. A power read from an
+on-disk cache is the exception: its record has no peak, so its size stands in.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def _expansion(
             cap = None  # no partition of |b| is cut: share the uncapped entry
     key = (b, cap)
     hit = _exp_memo.get(key)
-    if hit is None:
+    if hit is None or hit[1] > budget:
         cols = conjugate_parts(b)  # column heights of b, tallest first
         cross, peak = _apply({(): 1}, {cols: 1}, cap, budget)
         if cross.get(b) != 1:
@@ -282,7 +282,6 @@ def _expansion(
                 for mu, e in sub.items():
                     acc[mu] = acc.get(mu, 0) - k * e
         hit = _exp_memo[key] = ({mu: e for mu, e in acc.items() if e}, peak)
-    _check_budget(hit[1], budget)
     return hit
 
 
@@ -294,7 +293,9 @@ def _mul_parts(
         a, b = b, a
     key = (a, b, cap)
     hit = _mul_memo.get(key)
-    if hit is None and cap is None and sum(a[:1] + b[:1]) > len(a) + len(b):
+    if hit is not None and hit[1] <= budget:
+        return hit
+    if cap is None and sum(a[:1] + b[:1]) > len(a) + len(b):
         # wide, more columns than rows: s_a s_b is the transpose of s_a' s_b', whose
         # pair is not wide; the entry holds the transposed terms and that pair's peak
         terms, peak = _mul_parts(conjugate_parts(a), conjugate_parts(b), None, budget)
@@ -306,13 +307,12 @@ def _mul_parts(
                 c = _conj_memo[t] = _canon.setdefault(c, c)
             out[c] = m
         hit = _mul_memo[key] = (out, peak)
-    elif hit is None:
+    else:
         # expand the factor with fewer columns, on a tie the one with more rows, then the first
         x, base = (a, b) if (a[:1], -len(a)) <= (b[:1], -len(b)) else (b, a)
         exp, peak_x = _expansion(x, cap, budget)
         out, peak = _apply({base: 1} if cap is None or len(base) <= cap else {}, exp, cap, budget)
         hit = _mul_memo[key] = (out, max(peak, peak_x))
-    _check_budget(hit[1], budget)
     return hit
 
 
@@ -343,10 +343,10 @@ def tensor_power(
 
     Intermediate powers are memoized per (partition, k, cap), the unit power
     k = 0 always, so it is never read from the optional on-disk cache (see
-    powercache). One walk goes down from n to the highest power that the memo
-    or the cache holds, and the cache gets every power computed along the way.
-    Each step applies the expansion of the partition to the whole previous
-    power at once.
+    powercache). One walk goes down from n to the highest power that the
+    cache holds or the memo holds within the budget; the cache gets every
+    power computed along the way. Each step applies the expansion of the
+    partition to the whole previous power at once.
     """
     if as_int(n, "exponent") < 0:
         raise ValueError("negative exponent")
@@ -355,12 +355,12 @@ def tensor_power(
     parts = a.parts
     _power_memo.setdefault((parts, 0, cap), ({(): 1}, 1))
     k0 = n
-    while (parts, k0, cap) not in _power_memo:
+    while k0 and ((hit := _power_memo.get((parts, k0, cap))) is None or hit[1] > bud):
         got = None if cache is None else cache.get(parts, k0, cap)
-        if got is None:
-            k0 -= 1
-        else:
+        if got is not None:
             _power_memo[(parts, k0, cap)] = (got, len(got))
+            break
+        k0 -= 1
     cur, peak = _power_memo[(parts, k0, cap)]
     _check_budget(peak, bud)
     if k0 < n:

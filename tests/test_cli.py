@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,14 @@ class TestMulAndPower:
         assert main(["power", "[2,1]", "4"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: out of memory\n"
+
+    def test_recursion_past_the_limit_exit_code(self):
+        # the uncapped strip step recurses once per distinct part: a 1,000-row staircase
+        # once ended in a RecursionError traceback and exit 1, the "check failed" code
+        staircase = "[" + ",".join(map(str, range(1000, 0, -1))) + "]"
+        code, out, err = run_proc("mul", staircase, "[1]")
+        assert (code, out) == (3, b"")
+        assert re.fullmatch(rb"error: recursion deeper than the limit of \d+ frames\n", err)
 
     def test_internal_check_error_is_not_a_usage_error(self, monkeypatch):
         # an engine bug keeps its traceback instead of exiting 2 like other lrlab errors
@@ -406,6 +415,33 @@ class TestCache:
         assert after.startswith(before) and len(after) > len(before)
         assert len(PowerCache(str(path))) == 2
         assert os.listdir(tmp_path) == ["powers.lrpow"]
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "powers.lrpow"
+        path.write_text("LRPOW0\n")  # a stale file is rewritten through a rename
+        cache = PowerCache(str(path))
+        cache.put((2,), 1, None, {(2,): 1})
+
+        def failing_rename(*args):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("lrlab.powercache.os.replace", failing_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            cache.save()
+        assert path.read_text() == "LRPOW0\n"
+        assert os.listdir(tmp_path) == ["powers.lrpow"]
+
+    def test_blank_line_between_records_is_skipped(self, tmp_path):
+        path = tmp_path / "powers.lrpow"
+        cache = PowerCache(str(path))
+        cache.put((2,), 1, None, {(2,): 1})
+        cache.put((2,), 2, None, {(4,): 1, (3, 1): 1, (2, 2): 1})
+        cache.save()
+        magic, first, second = path.read_text().splitlines()
+        path.write_text(f"{magic}\n{first}\n\n{second}\n")
+        cache = PowerCache(str(path))
+        assert cache.valid_header and len(cache) == 2
+        assert cache.get((2,), 2, None) == {(4,): 1, (3, 1): 1, (2, 2): 1}
 
     def test_second_save_writes_nothing(self, tmp_path):
         path = tmp_path / "powers.lrpow"

@@ -46,6 +46,10 @@ class TestMembership:
         cert = cone_membership(P(2), P(1, 1), 2)
         assert not cert.member and "dominated" in cert.reason
 
+    def test_empty_partition_reaches_only_weight_zero(self):
+        cert = cone_membership(P(1), Partition(), 1)
+        assert not cert.member and cert.reason == "weight 1 not reachable from the empty partition"
+
 
 class TestDecomposition:
     def test_center_ray(self):

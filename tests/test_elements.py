@@ -22,6 +22,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^multiplicity {mult!r} is not an integer$"):
             LRElement({P(1): mult})
 
+    def test_rejects_a_negative_multiplicity(self):
+        with pytest.raises(ValueError, match=r"^negative multiplicity -1 for \[1\]$"):
+            LRElement({P(1): -1})
+
 
 class TestAdd:
     def test_disjoint(self):

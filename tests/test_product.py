@@ -542,6 +542,69 @@ class TestBudgetAtThePeak:
         clear_caches()
 
 
+def _text(call):
+    """The terms of a call's result, or the text of its BudgetExceeded."""
+    try:
+        return call().to_json()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+class TestWarmBudgetErrorNamesTheColdCount:
+    """A memo entry is reused only when its peak fits the budget, so a call past
+    the budget raises at the count where its cold computation stops, not with the
+    peak of an entry that an earlier call stored."""
+
+    # a narrow, a wide and a capped pair, and a power with and without a cache file
+    CALLS = {
+        "narrow": lambda budget, path: mul(P(3, 2, 1), P(2, 2), budget=budget),
+        "wide": lambda budget, path: mul(P(4, 2), P(3), budget=budget),
+        "capped": lambda budget, path: mul(P(3, 2, 1), P(2, 2, 1), cap=3, budget=budget),
+        "power": lambda budget, path: tensor_power(P(2, 1), 4, budget=budget),
+        "power_cached": lambda budget, path: tensor_power(P(2, 1), 4, budget=budget, cache=PowerCache(path)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_every_budget_up_to_one_past_the_peak(self, name, tmp_path, monkeypatch):
+        monkeypatch.delenv("LRLAB_BUDGET", raising=False)
+        path = str(tmp_path / "powers.lrpow")
+        clear_caches()
+        cache = PowerCache(path)
+        tensor_power(P(2, 1), 2, cache=cache)
+        cache.save()  # the file holds the powers up to the square; calls never save
+        call = self.CALLS[name]
+        budget, passes = 0, 0
+        while passes < 2:
+            clear_caches()
+            cold = _text(lambda: call(budget, path))
+            clear_caches()
+            for other in self.CALLS.values():  # warm every entry at the default budget
+                other(None, path)
+            assert _text(lambda: call(budget, path)) == cold, budget
+            passes += not isinstance(cold, str)
+            budget += 1
+        assert budget > 3  # the peak is above 1: budgets 0 and 1 raised
+        clear_caches()
+
+    def test_found_cases(self, monkeypatch):
+        # a warm memo used to name 1408 terms here, the peak of the stored sixth power
+        clear_caches()
+        assert _text(lambda: tensor_power(P(3, 1), 6, budget=5)) == "9 terms exceed budget 5"
+        tensor_power(P(3, 1), 6)
+        assert _text(lambda: tensor_power(P(3, 1), 6, budget=5)) == "9 terms exceed budget 5"
+        # and 3 terms here, after a passing sweep had stored the first product
+        clear_caches()
+        monkeypatch.setenv("LRLAB_BUDGET", "0")
+        with pytest.raises(BudgetExceeded, match="^1 terms exceed budget 0$"):
+            verify_lemma("SMALLER", {"max_weight": 4})
+        monkeypatch.delenv("LRLAB_BUDGET")
+        assert verify_lemma("SMALLER", {"max_weight": 4}).passed
+        monkeypatch.setenv("LRLAB_BUDGET", "0")
+        with pytest.raises(BudgetExceeded, match="^1 terms exceed budget 0$"):
+            verify_lemma("SMALLER", {"max_weight": 4})
+        clear_caches()
+
+
 class TestUnorderedProductMemo:
     """mul(a, b) and mul(b, a) share one memo entry, computation and term dict."""
 

@@ -56,6 +56,11 @@ class TestThresholdSearch:
     def test_single_row_length_one(self):
         assert minimal_uniform_exponent(P(1), 1, 3).threshold == 1
 
+    def test_no_threshold_when_the_last_exponent_fails(self):
+        res = minimal_uniform_exponent(P(2, 1), 3, 1)
+        assert res.threshold is None
+        assert res.failures == [(1, P(1, 1, 1))]
+
     def test_threshold_follows_the_last_failure(self, monkeypatch):
         # the property is not assumed monotone: failures at n=2 and n=4
         def fake(a, n, l):

@@ -54,6 +54,12 @@ class TestSubdivision:
         with pytest.raises(ValueError, match=r"^interval size 1\.5 is not an integer$"):
             Subdivision([1.5, 1])
 
+    @pytest.mark.parametrize("sizes", [[], [2, 0]])
+    def test_rejects_no_intervals_and_an_empty_one(self, sizes):
+        with pytest.raises(ValueError) as exc:
+            Subdivision(sizes)
+        assert str(exc.value) == f"interval sizes must be positive, got {sizes}"
+
 
 class TestRestrict:
     def test_read_off(self):
