@@ -138,15 +138,14 @@ def _cmd_hj(args) -> Output:
 
     a = parse_partition(args.a)
     j = Subdivision.from_mask(args.l, args.mask)
-    if args.m is not None or args.n is not None:
-        if args.m is None or args.n is None or args.beta is not None or args.delta is not None:
-            raise UsageError("give either --beta and --delta, or --m and --n")
+    given = tuple(v is not None for v in (args.beta, args.delta, args.m, args.n))
+    if given not in ((True, True, False, False), (False, False, True, True)):
+        raise UsageError("give either --beta and --delta, or --m and --n")
+    if args.m is None:
+        m, n, h = perturbed_generator(a, j, args.beta, args.delta)
+    else:
         m, n = args.m, args.n
         h = perturbed_generator_raw(a, j, m, n)
-    else:
-        if args.beta is None or args.delta is None:
-            raise UsageError("give either --beta and --delta, or --m and --n")
-        m, n, h = perturbed_generator(a, j, args.beta, args.delta)
     if args.json:
         return {"m": m, "n": n, "partition": None if h is None else list(h.parts)}, 0
     return [f"m={m} n={n} H={'not-a-partition' if h is None else h}"], 0

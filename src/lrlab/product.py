@@ -44,8 +44,9 @@ Every expansion, product and power memo value is a pair (result, peak),
 where peak is the largest term count any step of its computation reached,
 sub-computations included. An entry is reused only when its peak fits the
 caller's budget; else the call runs cold and raises BudgetExceeded at its
-first step past the budget, whatever ran before. A power read from an
-on-disk cache is the exception: its record has no peak, so its size stands in.
+first step past the budget, whatever ran before. A tensor_power call with an
+on-disk cache walks a table of its own, never the power memo; a record it
+reads has no peak, so within that call its size stands in.
 """
 
 from __future__ import annotations
@@ -343,25 +344,26 @@ def tensor_power(
 
     Intermediate powers are memoized per (partition, k, cap), the unit power
     k = 0 always, so it is never read from the optional on-disk cache (see
-    powercache). One walk goes down from n to the highest power that the
-    cache holds or the memo holds within the budget; the cache gets every
-    power computed along the way. Each step applies the expansion of the
-    partition to the whole previous power at once.
+    powercache). A call with a cache keeps a memo table of its own. One walk
+    goes down from n to the highest power that the cache holds or the memo
+    holds within the budget; the cache gets every power in the memo. Each
+    step applies the expansion of the partition to the whole previous power.
     """
     if as_int(n, "exponent") < 0:
         raise ValueError("negative exponent")
     check_cap(cap)
     bud = term_budget(budget)
     parts = a.parts
-    _power_memo.setdefault((parts, 0, cap), ({(): 1}, 1))
+    memo = _power_memo if cache is None else {}
+    memo.setdefault((parts, 0, cap), ({(): 1}, 1))
     k0 = n
-    while k0 and ((hit := _power_memo.get((parts, k0, cap))) is None or hit[1] > bud):
+    while k0 and ((hit := memo.get((parts, k0, cap))) is None or hit[1] > bud):
         got = None if cache is None else cache.get(parts, k0, cap)
         if got is not None:
-            _power_memo[(parts, k0, cap)] = (got, len(got))
+            memo[(parts, k0, cap)] = (got, len(got))
             break
         k0 -= 1
-    cur, peak = _power_memo[(parts, k0, cap)]
+    cur, peak = memo[(parts, k0, cap)]
     _check_budget(peak, bud)
     if k0 < n:
         exp, exp_peak = _expansion(parts, cap, bud)
@@ -369,12 +371,10 @@ def tensor_power(
     for k in range(k0 + 1, n + 1):
         cur, step_peak = _apply(cur, exp, cap, bud)
         peak = max(peak, step_peak)
-        _power_memo[(parts, k, cap)] = (cur, peak)
+        memo[(parts, k, cap)] = (cur, peak)
     if cache is not None:
-        for k in range(n + 1):
-            hit = _power_memo.get((parts, k, cap))
-            if hit is not None:
-                cache.put(parts, k, cap, hit[0])
+        for (_, k, _), (terms, _) in memo.items():
+            cache.put(parts, k, cap, terms)
     return LRElement._from_raw(cur, cap)
 
 

@@ -5,6 +5,7 @@ their one-cell perturbations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange
@@ -81,10 +82,7 @@ class Subdivision:
         """Index k of the block containing position alpha."""
         if not 1 <= alpha <= self.length:
             raise IndexOutOfRange(f"position {alpha} outside 1..{self.length}")
-        for k, (st, sz) in enumerate(zip(self._starts, self._sizes), 1):
-            if st <= alpha < st + sz:
-                return k
-        raise IndexOutOfRange(f"position {alpha} not covered")  # unreachable
+        return bisect_right(self._starts, alpha)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Subdivision) and self._sizes == other._sizes

@@ -171,10 +171,16 @@ class TestSmallCommands:
         assert data == {"m": 1, "n": 2, "partition": [3, 3]}
 
     def test_hj_mixed_modes_rejected(self, capsys):
-        assert main(
-            ["hj", "[2,1]", "--l", "2", "--mask", "1", "--m", "1", "--beta", "2"]
-        ) == 2
-        assert main(["hj", "[2,1]", "--l", "2", "--mask", "1"]) == 2
+        # mixed pairs, a half pair, both pairs, and neither
+        for extra in (
+            ["--m", "1", "--beta", "2"],
+            ["--beta", "2"],
+            ["--m", "1"],
+            ["--beta", "2", "--delta", "1", "--m", "1", "--n", "2"],
+            [],
+        ):
+            assert main(["hj", "[2,1]", "--l", "2", "--mask", "1", *extra]) == 2, extra
+            assert capsys.readouterr().err == "error: give either --beta and --delta, or --m and --n\n"
 
 
 class TestVerifyCommand:

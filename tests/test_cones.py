@@ -21,7 +21,7 @@ from lrlab import (
     theorem_bound,
 )
 from lrlab.cones import _check_decomposition, _solve_columns
-from lrlab.errors import NoDecomposition, UnsupportedLength
+from lrlab.errors import InvalidPartition, NoDecomposition, UnsupportedLength
 
 
 def P(*parts):
@@ -121,6 +121,13 @@ class TestBound:
     def test_unsupported_length(self):
         with pytest.raises(UnsupportedLength):
             theorem_bound(P(1), 4)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_partition_longer_than_the_length(self, l):
+        column = P(*[1] * (l + 1))
+        with pytest.raises(InvalidPartition) as exc:
+            theorem_bound(column, l)
+        assert str(exc.value) == f"{column} does not fit length {l}"
 
     def test_bound_at_least_empirical_threshold(self):
         for l in (1, 2, 3):

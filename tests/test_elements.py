@@ -26,6 +26,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^negative multiplicity -1 for \[1\]$"):
             LRElement({P(1): -1})
 
+    def test_tuple_keys_and_a_zero_multiplicity(self):
+        m = LRElement({(2, 1): 3, (1,): 0})
+        assert len(m) == 1 and m[(2, 1)] == 3 and m[(1,)] == 0
+        assert bool(m) and not LRElement.zero()
+        assert list(m) == [P(2, 1)]
+
 
 class TestAdd:
     def test_disjoint(self):
@@ -101,6 +107,10 @@ class TestOrderAndJson:
     def test_items_descending_lex(self):
         m = E({(2, 2): 1, (3, 1): 1, (4,): 1, (2, 1, 1): 5})
         assert [p.parts for p, _ in m.items()] == [(4,), (3, 1), (2, 2), (2, 1, 1)]
+
+    def test_repr(self):
+        assert repr(E({(1, 1): 1, (2,): 3})) == "LRElement({[2]: 3, [1,1]: 1})"
+        assert repr(E({(2,): 3}, cap=1)) == "LRElement({[2]: 3}, cap=1)"
 
     def test_json_shape(self):
         obj = E({(3, 1): 2}, cap=2).to_json()

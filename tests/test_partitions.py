@@ -71,6 +71,12 @@ class TestCanonicalForm:
 
     def test_indexing_past_end_reads_zero(self):
         assert P(3, 1)[5] == 0
+        with pytest.raises(IndexError, match="^negative row index$"):
+            P(2, 1)[-1]
+
+    def test_iteration_and_repr(self):
+        assert list(P(3, 1)) == [3, 1]
+        assert repr(P(3, 1)) == "Partition([3, 1])"
 
     @given(partition_lists)
     @settings(max_examples=80, deadline=None)
@@ -148,6 +154,8 @@ class TestDominance:
     def test_single_column_is_minimum(self):
         for p in partitions_up_to(10):
             assert dominates(p, single_column(p.weight))
+        with pytest.raises(InvalidPartition, match="^negative column height$"):
+            single_column(-1)
 
     def test_rectangle_plus_column_is_minimum_at_fixed_length(self):
         # within length l, every A of weight n*l + s sits above n*D(l) + column(s)
@@ -243,6 +251,7 @@ class TestEnumeration:
     def test_descending_lex(self):
         got = [p.parts for p in partitions_of(4)]
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert list(partitions_of(-1)) == []
 
     def test_length_bound(self):
         assert all(len(p) <= 2 for p in partitions_of(6, max_len=2))

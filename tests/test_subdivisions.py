@@ -38,17 +38,25 @@ class TestSubdivision:
                 j = Subdivision.from_mask(l, mask)
                 assert j.mask == mask
                 assert j.length == l
+        assert Subdivision.from_mask(3, 1) == Subdivision([1, 2])
+        assert hash(Subdivision.from_mask(3, 1)) == hash(Subdivision([1, 2]))
 
     def test_block_lookup(self):
         j = Subdivision([1, 2])
         assert [j.block_of(i) for i in (1, 2, 3)] == [1, 2, 2]
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"^position 4 outside 1\.\.3$"):
             j.block_of(4)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"^position 0 outside 1\.\.3$"):
             j.block_of(0)
+        for l in range(1, 6):
+            for j in all_subdivisions(l):
+                assert [j.block_of(i) for i in range(1, l + 1)] == [
+                    k for k, iv in enumerate(j.intervals, 1) for _ in iv
+                ]
 
     def test_text_form(self):
         assert str(Subdivision([1, 2])) == "{(1),(2,3)}"
+        assert repr(Subdivision([1, 2])) == "Subdivision([1, 2])"
 
     def test_rejects_a_size_that_is_not_an_integer(self):
         with pytest.raises(ValueError, match=r"^interval size 1\.5 is not an integer$"):
