@@ -5,7 +5,9 @@ text or the JSON schemas of the library types. Output is byte-deterministic
 for a fixed build and input; exit codes: 0 success or PASS, 1 a verification
 failed or a claimed witness does not exist, 2 usage error (any other LRLabError
 but InternalCheckError, a ValueError or an OSError), 3 budget, memory or
-recursion depth exhausted.
+recursion depth exhausted. A reader that closes stdout early (`| head`) is
+not an error: the command prints no more, writes nothing to stderr and exits
+with its own code.
 
 Each subcommand imports only the layers it runs, when it runs: a cold
 `dominance` or `interpolate` loads `errors` and `partitions` alone, and
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -330,10 +333,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         out, code = args.func(args)
-        if args.json:
-            sys.stdout.write(json.dumps(out) + "\n")
-        else:
-            sys.stdout.writelines(f"{line}\n" for line in out)
+        try:
+            if args.json:
+                sys.stdout.write(json.dumps(out) + "\n")
+            else:
+                sys.stdout.writelines(f"{line}\n" for line in out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: the interpreter's last flush goes to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -108,7 +108,9 @@ class LRElement:
         cap = "" if self._cap is None else f", cap={self._cap}"
         return f"LRElement({{{inner}}}{cap})"
 
-    def __add__(self, other: "LRElement") -> "LRElement":
+    def __add__(self, other: object) -> "LRElement":
+        if not isinstance(other, LRElement):
+            return NotImplemented
         if self._cap != other._cap:
             raise CapMismatch(f"caps {self._cap} and {other._cap} differ")
         acc = dict(self._terms)

@@ -85,8 +85,10 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self._parts)
 
-    def __lt__(self, other: "Partition") -> bool:
+    def __lt__(self, other: object) -> bool:
         # plain lexicographic order on part tuples; used only for sorting
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self._parts < other._parts
 
     def __repr__(self) -> str:

@@ -28,16 +28,18 @@ a first part of at least len(x). A product's peak depends only on its pair.
 One strip rule serves both vertical-strip steps (Pieri, Macdonald I.5): a
 column of height r adds the top k rows of each run of equal rows, the k
 summing to r, and each step takes the k of a run from the largest down, so
-both list a step's terms in decreasing order. Uncapped, the step recurses on
-part tuples one run per level: one memo table per column height, keyed by
-the part tuple, which _apply looks up inline. Under a cap l it works on
-packed ints: a partition of at most l rows is one int with B bits per row,
-top row first, where B bounds the largest part the call can build (its
-start's largest first part plus its most columns) with one spare bit. The
-runs come from one borrow-free subtraction of x from x shifted down a row,
-and the 0/1 patterns a strip adds are memoised per (l, B, r, runs). _apply
-packs its start and unpacks its sum. Both steps intern every tuple they
-make in _canon, so each partition exists once and memo values, products and
+both list a step's terms in decreasing order. One rule per representation: an
+uncapped call steps on part tuples and touches _pieri_memo and _conj_memo, a
+capped call steps on packed ints and touches _pattern_memo. Uncapped, the
+step recurses one run per level: one memo table per column height, keyed by
+the part tuple, which _apply looks up inline. Under a cap l a partition of at
+most l rows is one int with B bits per row, top row first, where B bounds the
+largest part the call can build (its start's largest first part plus its most
+columns) with one spare bit. The runs come from one borrow-free subtraction
+of x from x shifted down a row, and the 0/1 patterns a strip adds are
+memoised per (l, B, r, runs). _apply packs its start, dropping terms longer
+than l, and unpacks its sum. Both steps intern every tuple they make in the
+shared _canon, so each partition exists once and memo values, products and
 powers hold references to it.
 
 Every expansion, product and power memo value is a pair (result, peak),
@@ -209,8 +211,9 @@ def _apply(
 
     The column tuples mu are walked in sorted order, keeping the chain of
     partial products of the previous one, so tuples with a common prefix share
-    its vertical-strip steps. Under a cap the chain holds packed partitions;
-    start must fit the cap. A negative sum raises InternalCheckError.
+    its vertical-strip steps. Under a cap the chain holds packed partitions,
+    and a start term longer than the cap, zero there, is dropped. A negative
+    sum raises InternalCheckError.
     """
     if cap is None:
         step, first = _strip_step, start
@@ -219,7 +222,7 @@ def _apply(
         bits = (top + max(map(len, expansion), default=0)).bit_length() + 1
         shifts = range(bits * (cap - 1), -1, -bits)  # of rows 0, 1, ..., cap - 1
         step = _packed_step(cap, bits)
-        first = {sum(map(lshift, t, shifts)): m for t, m in start.items()}
+        first = {sum(map(lshift, t, shifts)): m for t, m in start.items() if len(t) <= cap}
     out: dict = {}
     peak = 0
     chain = [first]  # chain[i]: start times the first i columns of prev
@@ -263,11 +266,8 @@ def _expansion(
     unitriangular in dominance order. Taking cross under the cap is valid
     because truncation is a ring homomorphism.
     """
-    if cap is not None:
-        if len(b) > cap:
-            return {}, 0
-        if cap >= sum(b):
-            cap = None  # no partition of |b| is cut: share the uncapped entry
+    if cap is not None and len(b) > cap:
+        return {}, 0
     key = (b, cap)
     hit = _exp_memo.get(key)
     if hit is None or hit[1] > budget:
@@ -312,7 +312,7 @@ def _mul_parts(
         # expand the factor with fewer columns, on a tie the one with more rows, then the first
         x, base = (a, b) if (a[:1], -len(a)) <= (b[:1], -len(b)) else (b, a)
         exp, peak_x = _expansion(x, cap, budget)
-        out, peak = _apply({base: 1} if cap is None or len(base) <= cap else {}, exp, cap, budget)
+        out, peak = _apply({base: 1}, exp, cap, budget)
         hit = _mul_memo[key] = (out, max(peak, peak_x))
     return hit
 

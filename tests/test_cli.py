@@ -111,6 +111,27 @@ class TestMulAndPower:
         assert (code, out) == (3, b"")
         assert re.fullmatch(rb"error: recursion deeper than the limit of \d+ frames\n", err)
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["mul", "[2,1]", "[2,1]"], ["power", "[3,1]", "8"]])
+    def test_closed_stdout_is_not_an_error(self, argv, unbuffered):
+        # `| head` once exited 2 with `error: [Errno 32] Broken pipe`, or, for a small
+        # buffered output, 120 from the interpreter's last flush; the 221 KB power fills
+        # any pipe buffer. The read end is closed before the child starts.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lrlab", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
     def test_internal_check_error_is_not_a_usage_error(self, monkeypatch):
         # an engine bug keeps its traceback instead of exiting 2 like other lrlab errors
         def broken(*args, **kwargs):

@@ -48,6 +48,11 @@ class TestAdd:
         with pytest.raises(CapMismatch):
             E({(2,): 1}, cap=2) + E({(2,): 1})
 
+    def test_foreign_operand_is_a_type_error(self):
+        # once an AttributeError on `other._cap`
+        with pytest.raises(TypeError, match="unsupported operand"):
+            LRElement() + 1
+
 
 class TestShiftAdd:
     def test_entrywise(self):

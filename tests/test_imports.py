@@ -78,6 +78,20 @@ class TestColdStart:
     def test_dominance_loads_parsing_only(self):
         assert loaded_after_main("dominance", "[1]", "[1]") == BASE
 
+    def test_interpolate_loads_parsing_only(self):
+        assert loaded_after_main("interpolate", "[4]", "[2,2]") == BASE
+
+    def test_mul_loads_the_product_stack_without_the_cache(self):
+        assert loaded_after_main("mul", "[2,1]", "[2,1]") == BASE | {"lrlab.elements", "lrlab.product"}
+
+    def test_gj_adds_subdivisions_only(self):
+        assert loaded_after_main("gj", "[2,1]", "--l", "3") == BASE | {"lrlab.subdivisions"}
+
+    def test_cache_adds_the_power_cache_only(self, tmp_path):
+        # a missing file reads as an empty valid cache
+        path = str(tmp_path / "none.lrpow")
+        assert loaded_after_main("cache", path) == BASE | {"lrlab.powercache"}
+
     def test_power_loads_the_product_stack_only(self):
         assert loaded_after_main("power", "[2,1]", "3") == BASE | {
             "lrlab.elements", "lrlab.product", "lrlab.powercache",

@@ -78,6 +78,14 @@ class TestCanonicalForm:
         assert list(P(3, 1)) == [3, 1]
         assert repr(P(3, 1)) == "Partition([3, 1])"
 
+    def test_order_is_lexicographic_and_only_among_partitions(self):
+        assert sorted([P(2), P(1, 1), P(3)]) == [P(1, 1), P(2), P(3)]
+        # once an AttributeError on `other._parts`
+        with pytest.raises(TypeError, match="not supported"):
+            P(1) < 3
+        with pytest.raises(TypeError, match="not supported"):
+            3 > P(1)
+
     @given(partition_lists)
     @settings(max_examples=80, deadline=None)
     def test_construction_is_idempotent(self, xs):

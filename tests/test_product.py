@@ -143,6 +143,11 @@ class TestColumnStep:
                 assert lhs == rhs, (r, s)
 
 
+CAPPED_SUITES = ["CHI", "ATENSORL", "EXCHANGE", "G_IN_TENSOR", "H_IN_TENSOR", "H_MULT_P",
+                 "A_MULT_PP", "MULT_CIRC", "CHI_SYMMETRY"]
+UNCAPPED_SUITES = ["SMALLER", "MULT_PLUS", "MULT_INERT", "HIGHEST_TERM", "PSEQ"]
+
+
 def strips_oracle(parts, r, cap):
     """Vertical strips of height r added to parts, by the strip step's recursion unmemoised."""
     if r == 0:
@@ -183,9 +188,8 @@ class TestStripStep:
             for cap in range(9):
                 for r in range(7):
                     for a in partitions_up_to(10):
-                        if len(a) <= cap:  # _apply's start fits its cap
-                            got = capped_strips(a.parts, r, cap)
-                            assert got == strips_oracle(a.parts, r, cap), (a, r, cap)
+                        got = capped_strips(a.parts, r, cap)
+                        assert got == strips_oracle(a.parts, r, cap), (a, r, cap)
 
     def test_equal_partitions_are_one_object(self):
         clear_caches()
@@ -227,6 +231,32 @@ class TestStripStep:
         tensor_power(P(4, 2, 1), 8, cap=4)
         assert product._pieri_memo == {}
         assert sum(len(table) for table in product._pattern_memo.values()) == 112
+        # nor with a cap that cuts no partition of the expanded factor's weight
+        for call in (
+            lambda: tensor_power(P(2, 1), 6, cap=3),
+            lambda: mul(P(2, 1), P(1), cap=5),
+            lambda: mul_element(E({(2, 1): 1, (1, 1, 1): 1}, cap=3), P(2, 1)),
+        ):
+            clear_caches()
+            call()
+            assert product._pieri_memo == {}
+        clear_caches()
+
+    def test_a_start_longer_than_the_cap_is_zero(self):
+        assert product._apply({(2, 1): 1}, {(1,): 1}, 1, product.DEFAULT_TERM_BUDGET) == ({}, 0)
+        got, _ = product._apply({(2, 1): 1, (1,): 2}, {(1,): 1}, 1, product.DEFAULT_TERM_BUDGET)
+        assert got == {(2,): 2}
+
+    @pytest.mark.parametrize(
+        "lemma_id, untouched",
+        [(name, "_pieri_memo") for name in CAPPED_SUITES]
+        + [(name, "_pattern_memo") for name in UNCAPPED_SUITES],
+    )
+    def test_each_suite_keeps_to_its_representation(self, lemma_id, untouched):
+        # a capped call steps on packed ints, whatever its cap; an uncapped one on tuples
+        clear_caches()
+        verify_lemma(lemma_id)
+        assert getattr(product, untouched) == {}
         clear_caches()
 
     def test_parts_of_2_to_the_16_under_a_cap(self):
