@@ -33,14 +33,14 @@ uncapped call steps on part tuples and touches _pieri_memo and _conj_memo, a
 capped call steps on packed ints and touches _pattern_memo. Uncapped, the
 step recurses one run per level: one memo table per column height, keyed by
 the part tuple, which _apply looks up inline. Under a cap l a partition of at
-most l rows is one int with B bits per row, top row first, where B bounds the
-largest part the call can build (its start's largest first part plus its most
-columns) with one spare bit. The runs come from one borrow-free subtraction
-of x from x shifted down a row, and the 0/1 patterns a strip adds are
-memoised per (l, B, r, runs). _apply packs its start, dropping terms longer
-than l, and unpacks its sum. Both steps intern every tuple they make in the
-shared _canon, so each partition exists once and memo values, products and
-powers hold references to it.
+most l rows is one int with B bits per row, row i at bit B * i, so an int is as
+wide as its rows; B bounds the largest part the call can build (its start's
+largest first part plus its most columns) with one spare bit, and l bounds only
+the rows a strip may reach and the width of the two run masks. The runs come
+from one borrow-free subtraction of x from x shifted up a row, and the 0/1
+patterns a strip adds are memoised per (l, B, r, runs). _apply packs its start,
+dropping terms longer than l, and unpacks its sum. Both steps intern each tuple
+they make in _canon: memo values, products and powers share its one copy.
 
 Every expansion, product and power memo value is a pair (result, peak),
 where peak is the largest term count any step of its computation reached,
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import lshift
 
 from .elements import LRElement, check_cap
@@ -160,12 +160,12 @@ def _strip_step(terms: dict, r: int) -> dict:
 def _patterns(cap: int, bits: int, r: int, key: int) -> tuple[int, ...]:
     """The strips of height r a packed partition with runs key accepts, largest first.
 
-    Row i starts a run of equal rows when i = 0 or key has the top bit of its
-    field set.
+    Row i, at bit bits * i, starts a run of equal rows when i = 0 or key has the top
+    bit of its field set. No row r or more past the last run's start, nor past cap, takes a cell.
     """
     runs: list[list[int]] = []
-    for i in range(cap):
-        unit = 1 << bits * (cap - 1 - i)
+    for i in range(min(cap, key.bit_length() // bits + r)):
+        unit = 1 << bits * i
         if not i or key & unit << bits - 1:
             runs.append([])
         runs[-1].append(unit)
@@ -178,7 +178,7 @@ def _patterns(cap: int, bits: int, r: int, key: int) -> tuple[int, ...]:
 
 def _packed_step(cap: int, bits: int):
     """The capped strip step on partitions packed with bits bits per row."""
-    units = sum(1 << bits * i for i in range(cap))
+    units = ((1 << bits * cap) - 1) // ((1 << bits) - 1)
     low = units * ((1 << bits - 1) - 1)
     high = units << bits - 1
 
@@ -189,7 +189,7 @@ def _packed_step(cap: int, bits: int):
         for x, m in terms.items():
             # each row's field gets the row above it, plus low, minus itself: no field
             # borrows or carries, and its top bit is set when the row is shorter
-            key = ((x >> bits) + low - x) & high
+            key = ((x << bits) + low - x) & high
             patterns = table.get(key)
             if patterns is None:
                 patterns = table[key] = _patterns(cap, bits, r, key)
@@ -212,17 +212,16 @@ def _apply(
     The column tuples mu are walked in sorted order, keeping the chain of
     partial products of the previous one, so tuples with a common prefix share
     its vertical-strip steps. Under a cap the chain holds packed partitions,
-    and a start term longer than the cap, zero there, is dropped. A negative
-    sum raises InternalCheckError.
+    row 0 in the low bits, and a start term longer than the cap, zero there,
+    is dropped. A negative sum raises InternalCheckError.
     """
     if cap is None:
         step, first = _strip_step, start
     else:
         top = max((t[0] for t in start if t), default=0)
         bits = (top + max(map(len, expansion), default=0)).bit_length() + 1
-        shifts = range(bits * (cap - 1), -1, -bits)  # of rows 0, 1, ..., cap - 1
         step = _packed_step(cap, bits)
-        first = {sum(map(lshift, t, shifts)): m for t, m in start.items() if len(t) <= cap}
+        first = {sum(map(lshift, t, count(0, bits))): m for t, m in start.items() if len(t) <= cap}
     out: dict = {}
     peak = 0
     chain = [first]  # chain[i]: start times the first i columns of prev
@@ -250,7 +249,7 @@ def _apply(
         canon = _canon.setdefault
         packed, out = out, {}
         for x, m in packed.items():
-            t = tuple([p for s in shifts if (p := x >> s & field)])
+            t = tuple([x >> s & field for s in range(0, x.bit_length(), bits)])
             out[canon(t, t)] = m
     _check_budget(len(out), budget)
     return out, max(peak, len(out))

@@ -87,6 +87,24 @@ class TestColdStart:
     def test_gj_adds_subdivisions_only(self):
         assert loaded_after_main("gj", "[2,1]", "--l", "3") == BASE | {"lrlab.subdivisions"}
 
+    def test_hj_adds_subdivisions_only(self):
+        argv = ("hj", "[2,1]", "--l", "3", "--mask", "3", "--beta", "2", "--delta", "1")
+        assert loaded_after_main(*argv) == BASE | {"lrlab.subdivisions"}
+
+    @pytest.mark.parametrize(
+        "argv", [("nsearch", "[2,1]", "--l", "3", "--nmax", "30"), ("transfer", "[3,1]", "[2,2]", "--d", "3")]
+    )
+    def test_searches_load_the_product_stack_without_cache_cones_or_verify(self, argv):
+        assert loaded_after_main(*argv) == BASE | {
+            "lrlab.elements", "lrlab.product", "lrlab.reports", "lrlab.search", "lrlab.subdivisions",
+        }
+
+    @pytest.mark.parametrize("extra", [(), ("--member-only",)])
+    def test_cone_loads_cones_without_the_product_stack(self, extra):
+        assert loaded_after_main("cone", "[6,6,6]", "[3,2,1]", "--l", "3", *extra) == BASE | {
+            "lrlab.cones", "lrlab.reports", "lrlab.subdivisions", "fractions",
+        }
+
     def test_cache_adds_the_power_cache_only(self, tmp_path):
         # a missing file reads as an empty valid cache
         path = str(tmp_path / "none.lrpow")

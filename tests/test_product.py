@@ -7,6 +7,7 @@ the hook length formula, and the two product algorithms (signed column expansion
 agree term by term.
 """
 
+import sys
 from math import factorial
 
 import pytest
@@ -242,6 +243,35 @@ class TestStripStep:
             assert product._pieri_memo == {}
         clear_caches()
 
+    def test_patterns_span_the_rows_a_strip_reaches_not_the_cap(self):
+        # row 0 sits in the low bits, so a pattern is as wide as the rows it touches
+        clear_caches()
+        power = tensor_power(P(2, 1), 8, cap=1000)
+        assert power.items() == tensor_power(P(2, 1), 8).items()
+        for (cap, bits, _), table in product._pattern_memo.items():
+            assert cap == 1000
+            for patterns in table.values():
+                assert all(v.bit_length() < 24 * bits for v in patterns)
+        clear_caches()
+
+    def test_a_cap_steps_past_the_recursion_limit(self):
+        # the uncapped strip step recurses once per distinct part; the capped one does not
+        staircase = P(*range(300, 0, -1))
+        parts = staircase.parts
+        grown = [parts[:i] + (301 - i,) + parts[i + 1 :] for i in range(301)]  # row i holds 300 - i
+        clear_caches()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            with pytest.raises(RecursionError):
+                mul(staircase, P(1))
+            clear_caches()
+            got = mul(staircase, P(1), cap=301)
+        finally:
+            sys.setrecursionlimit(limit)
+            clear_caches()
+        assert got == E(dict.fromkeys(grown, 1), cap=301)
+
     def test_a_start_longer_than_the_cap_is_zero(self):
         assert product._apply({(2, 1): 1}, {(1,): 1}, 1, product.DEFAULT_TERM_BUDGET) == ({}, 0)
         got, _ = product._apply({(2, 1): 1, (1,): 2}, {(1,): 1}, 1, product.DEFAULT_TERM_BUDGET)
@@ -268,9 +298,9 @@ class TestStripStep:
         clear_caches()
 
     def test_caps_past_8_match_tableau_oracle(self):
-        # caps 9 to 12 on every unordered pair of weight 6 or less
+        # caps 9 to 12, and one far past every row count, on every unordered pair of weight 6 or less
         pool = list(partitions_up_to(6))
-        for cap in range(9, 13):
+        for cap in (*range(9, 13), 1000):
             clear_caches()
             for i, a in enumerate(pool):
                 for b in pool[i:]:
