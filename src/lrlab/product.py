@@ -35,12 +35,12 @@ step recurses one run per level: one memo table per column height, keyed by
 the part tuple, which _apply looks up inline. Under a cap l a partition of at
 most l rows is one int with B bits per row, row i at bit B * i, so an int is as
 wide as its rows; B bounds the largest part the call can build (its start's
-largest first part plus its most columns) with one spare bit, and l bounds only
-the rows a strip may reach and the width of the two run masks. The runs come
-from one borrow-free subtraction of x from x shifted up a row, and the 0/1
-patterns a strip adds are memoised per (l, B, r, runs). _apply packs its start,
-dropping terms longer than l, and unpacks its sum. Both steps intern each tuple
-they make in _canon: memo values, products and powers share its one copy.
+largest first part plus its most columns) with one spare bit. The runs come
+from one borrow-free subtraction of x from x shifted up a row, under masks as
+wide as the rows the call can reach: a runs key is the same at any width past
+its term's rows, so the 0/1 patterns a strip adds are memoised per (l, B, r,
+runs), and l bounds only the rows a strip may reach. Both steps intern each
+tuple they make in _canon: memo values, products and powers share one copy.
 
 Every expansion, product and power memo value is a pair (result, peak),
 where peak is the largest term count any step of its computation reached,
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from itertools import accumulate, count
+from itertools import count
 from operator import lshift
 
 from .elements import LRElement, check_cap
@@ -163,22 +163,19 @@ def _patterns(cap: int, bits: int, r: int, key: int) -> tuple[int, ...]:
     Row i, at bit bits * i, starts a run of equal rows when i = 0 or key has the top
     bit of its field set. No row r or more past the last run's start, nor past cap, takes a cell.
     """
-    runs: list[list[int]] = []
-    for i in range(min(cap, key.bit_length() // bits + r)):
-        unit = 1 << bits * i
-        if not i or key & unit << bits - 1:
-            runs.append([])
-        runs[-1].append(unit)
-    partial = [(0, 0)]  # (pattern, height) over the runs so far, largest first
-    for run in runs:
-        tops = list(accumulate(run, initial=0))
-        partial = [(v + tops[k], h + k) for v, h in partial for k in range(min(len(run), r - h), -1, -1)]
-    return tuple(v for v, h in partial if h == r)
+    column = ((1 << bits * r) - 1) // ((1 << bits) - 1)  # one column of height r
+    rows = min(cap, key.bit_length() // bits + r)
+    partial, i = [(0, 0)], 0  # (pattern, height) over the runs below row i, largest first
+    for j in [s for s in range(1, rows) if key >> bits * s + bits - 1 & 1]:  # all runs but the last
+        tops = [column >> bits * (r - k) << bits * i for k in range(min(j - i, r) + 1)]
+        partial = [(v + tops[k], h + k) for v, h in partial for k in range(min(j - i, r - h), -1, -1)]
+        i = j
+    return tuple(v + (column >> bits * h << bits * i) for v, h in partial if r - h <= rows - i)
 
 
-def _packed_step(cap: int, bits: int):
-    """The capped strip step on partitions packed with bits bits per row."""
-    units = ((1 << bits * cap) - 1) // ((1 << bits) - 1)
+def _packed_step(cap: int, bits: int, rows: int):
+    """The capped strip step, bits bits per row, its run masks rows rows wide (see _apply)."""
+    units = ((1 << bits * rows) - 1) // ((1 << bits) - 1)
     low = units * ((1 << bits - 1) - 1)
     high = units << bits - 1
 
@@ -213,14 +210,16 @@ def _apply(
     partial products of the previous one, so tuples with a common prefix share
     its vertical-strip steps. Under a cap the chain holds packed partitions,
     row 0 in the low bits, and a start term longer than the cap, zero there,
-    is dropped. A negative sum raises InternalCheckError.
+    is dropped; the run masks span one row past the longest start term plus
+    the heaviest tuple, or the cap. A negative sum raises InternalCheckError.
     """
     if cap is None:
         step, first = _strip_step, start
     else:
         top = max((t[0] for t in start if t), default=0)
         bits = (top + max(map(len, expansion), default=0)).bit_length() + 1
-        step = _packed_step(cap, bits)
+        rows = max(map(len, start), default=0) + max(map(sum, expansion), default=0) + 1
+        step = _packed_step(cap, bits, min(cap, rows))
         first = {sum(map(lshift, t, count(0, bits))): m for t, m in start.items() if len(t) <= cap}
     out: dict = {}
     peak = 0

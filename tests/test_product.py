@@ -8,6 +8,7 @@ agree term by term.
 """
 
 import sys
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -181,6 +182,10 @@ class TestStripStep:
     memoised, interned one uncapped, the packed one under a cap."""
 
     def test_matches_unmemoised_recursion_in_order(self):
+        # caps 0 to 8, the caps about the mask edge (one row past the start plus r) and one far
+        # past it, on every partition of weight 10 or less and on starts of 20 to 40 rows
+        small = [a.parts for a in partitions_up_to(10)]
+        tall = [(1,) * 20, (2,) * 12 + (1,) * 9, tuple(range(30, 0, -1)), (3,) * 10 + (2,) * 15 + (1,) * 15]
         clear_caches()
         for _ in ("cold", "warm"):
             for r in range(7):
@@ -191,6 +196,12 @@ class TestStripStep:
                     for a in partitions_up_to(10):
                         got = capped_strips(a.parts, r, cap)
                         assert got == strips_oracle(a.parts, r, cap), (a, r, cap)
+            for r in range(7):
+                for parts in small + tall * (r < 4):
+                    edge = len(parts) + r
+                    for cap in {edge - 1, edge, edge + 1, 10**6} - {-1}:
+                        got = capped_strips(parts, r, cap)
+                        assert got == strips_oracle(parts, r, cap), (parts, r, cap)
 
     def test_equal_partitions_are_one_object(self):
         clear_caches()
@@ -254,6 +265,39 @@ class TestStripStep:
                 assert all(v.bit_length() < 24 * bits for v in patterns)
         clear_caches()
 
+    def test_a_tall_column_costs_its_rows_not_their_square(self):
+        # one strip of 2,000 rows: a pattern per run, not an int per row and a partial per height
+        clear_caches()
+        tracemalloc.start()
+        try:
+            got = mul(P(*[1] * 2000), P(1), cap=2001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            clear_caches()
+        assert got == E({(2,) + (1,) * 1999: 1, (1,) * 2001: 1}, cap=2001)
+        assert peak < 1 << 20
+
+    def test_pattern_tables_do_not_grow_with_the_cap(self):
+        # the run masks span the rows a call reaches, so a stored runs key holds its own rows
+        clear_caches()
+        tracemalloc.start()
+        try:
+            tensor_power(P(2, 1), 8, cap=100000)
+            held, _ = tracemalloc.get_traced_memory()
+            product._pattern_memo.clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 << 20
+        tables = {}
+        for cap in (1000, 10**6):
+            clear_caches()
+            tensor_power(P(2, 1), 8, cap=cap)
+            tables[cap] = {(bits, r): table for (_, bits, r), table in product._pattern_memo.items()}
+        clear_caches()
+        assert tables[1000] == tables[10**6]
+
     def test_a_cap_steps_past_the_recursion_limit(self):
         # the uncapped strip step recurses once per distinct part; the capped one does not
         staircase = P(*range(300, 0, -1))
@@ -298,9 +342,9 @@ class TestStripStep:
         clear_caches()
 
     def test_caps_past_8_match_tableau_oracle(self):
-        # caps 9 to 12, and one far past every row count, on every unordered pair of weight 6 or less
+        # caps 9 to 12, and two far past every row count, on every unordered pair of weight 6 or less
         pool = list(partitions_up_to(6))
-        for cap in (*range(9, 13), 1000):
+        for cap in (*range(9, 13), 1000, 10**6):
             clear_caches()
             for i, a in enumerate(pool):
                 for b in pool[i:]:
