@@ -19,10 +19,11 @@ from .errors import CapMismatch
 from .partitions import EMPTY, Partition, as_int
 
 
-def check_cap(cap: int | None) -> None:
-    """ValueError naming a cap unless it is None (no cap) or an integer >= 0."""
-    if cap is not None and as_int(cap, "cap") < 0:
+def check_cap(cap: int | None) -> int | None:
+    """The cap as an int, or None (no cap); ValueError naming it unless it is an integer >= 0."""
+    if cap is not None and (cap := as_int(cap, "cap")) < 0:
         raise ValueError(f"negative cap {cap}")
+    return cap
 
 
 class LRElement:
@@ -33,7 +34,7 @@ class LRElement:
         terms: Mapping[Partition, int] | Iterable[tuple[Partition, int]] = (),
         cap: int | None = None,
     ):
-        check_cap(cap)
+        cap = check_cap(cap)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, ...], int] = {}
         for p, m in items:
@@ -127,7 +128,7 @@ class LRElement:
 
     def truncated(self, l: int) -> "LRElement":
         """Image in the quotient that kills partitions longer than l (at most the cap)."""
-        if as_int(l, "length") < 0:
+        if (l := as_int(l, "length")) < 0:
             raise ValueError(f"negative length {l}")
         if self._cap is not None and l > self._cap:
             raise CapMismatch(f"cannot raise cap {self._cap} to {l}")

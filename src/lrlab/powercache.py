@@ -9,8 +9,9 @@ below 1; terms when n > 0 and a is longer than the cap, which cuts them
 all, or none otherwise, as s_a^n holds s_{n a}) is treated as empty.
 Parts are JSON integers, and exponents and caps non-negative ones; a
 multiplicity is a JSON integer or a string of ASCII digits. Opening an
-empty path, an existing path that cannot be read (such as a directory), or
-one in a missing directory raises OSError.
+empty path, an existing path that is not a regular file (such as a
+directory or a FIFO) or cannot be read, or one in a missing directory raises
+OSError.
 
 Opening a file checks every record but keeps each as its line of text;
 `get` turns a record into terms the first time it is asked for it, so an
@@ -18,7 +19,8 @@ open costs one JSON parse per line and only the records read are held as
 terms. `put` keeps the dict it is given, not a copy, so the caller must not
 change it afterwards. A save appends the records the file lacks in one
 write, cut back if it fails; a missing or stale file, or one that does not
-end in a newline, is rewritten through a temporary file and a rename.
+end in a newline, is rewritten through a temporary file and a rename onto
+the path a symlink points to, so the link survives.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 from itertools import chain
 
 MAGIC = "LRPOW1"
@@ -77,13 +80,17 @@ class PowerCache:
         self._load()
 
     def _load(self) -> None:
-        if not os.path.exists(self.path):
+        try:
+            mode = os.stat(self.path).st_mode
+        except (OSError, ValueError):  # a missing path, as os.path.exists sees it
             if not self.path:
-                raise FileNotFoundError("cache path '' is empty")
+                raise FileNotFoundError("cache path '' is empty") from None
             folder = os.path.dirname(self.path) or "."
             if not os.path.isdir(folder):
-                raise FileNotFoundError(f"cache {self.path}: directory {folder} does not exist")
+                raise FileNotFoundError(f"cache {self.path}: directory {folder} does not exist") from None
             return
+        if not stat.S_ISREG(mode):  # a FIFO would block the open, a device be read to its end
+            raise OSError(f"cache {self.path}: not a regular file")
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         if not lines or lines[0] != MAGIC:
@@ -127,11 +134,12 @@ class PowerCache:
         if not (self.valid_header and self._append(blob)):
             keys = [k for k in self._entries if k not in self._new]
             held = "".join(_line(k, self.get(*k)) for k in keys)
-            tmp = f"{self.path}.{os.getpid()}.tmp"
+            target = os.path.realpath(self.path)  # through a symlink, as an append writes
+            tmp = f"{target}.{os.getpid()}.tmp"
             try:
                 with open(tmp, "wb") as fh:
                     fh.write((MAGIC + "\n" + held).encode() + blob)
-                os.replace(tmp, self.path)
+                os.replace(tmp, target)
             except BaseException:
                 with contextlib.suppress(OSError):
                     os.remove(tmp)

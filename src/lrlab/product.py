@@ -17,22 +17,23 @@ product transposes a checked result, and PowerCache checks cache reads. Memo
 values are term dicts shared with LRElement and never mutated; lrlab starts
 no threads, so no memo table has concurrent readers. The product memo is
 keyed by the unordered pair of factors in lexicographic order, so mul(a, b)
-and mul(b, a) share one entry. An uncapped pair with more columns than rows,
-a[0] + b[0] > len(a) + len(b), is wide: its entry holds the transpose of its
-conjugate pair's terms, and that pair's peak; the conjugation memo
-_conj_memo transposes each interned term once. Any other pair expands the
-factor with fewer columns, then more rows, then the first of its key: each
-term of E(x) dominates x' (Macdonald I.6), so it has at most x[0] parts and
-a first part of at least len(x). A product's peak depends only on its pair.
+and mul(b, a) share one entry. A pair is wide when it has more columns than
+rows, a[0] + b[0] > len(a) + len(b), and the cap, if any, cuts nothing (is at
+least len(a) + len(b)): its entry holds the transpose of its conjugate pair's
+terms, under cap a[0] + b[0] if capped, and that pair's peak. Any other pair
+expands the factor with fewer columns, then more rows, then the first of its
+key: each term of E(x) dominates x' (Macdonald I.6), so it has at most x[0]
+parts and a first part of at least len(x). A product's peak depends only on
+its pair.
 
 One strip rule serves both vertical-strip steps (Pieri, Macdonald I.5): a
 column of height r adds the top k rows of each run of equal rows, the k
 summing to r, and each step takes the k of a run from the largest down, so
 both list a step's terms in decreasing order. One rule per representation: an
-uncapped call steps on part tuples and touches _pieri_memo and _conj_memo, a
-capped call steps on packed ints and touches _pattern_memo. Uncapped, the
-step recurses one run per level: one memo table per column height, keyed by
-the part tuple, which _apply looks up inline. Under a cap l a partition of at
+uncapped call steps on part tuples and touches _pieri_memo, a capped call
+steps on packed ints and touches _pattern_memo. Uncapped, the step recurses
+one run per level: one memo table per column height, keyed by the part
+tuple, which _apply looks up inline. Under a cap l a partition of at
 most l rows is one int with B bits per row, row i at bit B * i, so an int is as
 wide as its rows; B bounds the largest part the call can build (its start's
 largest first part plus its most columns) with one spare bit. The runs come
@@ -71,7 +72,6 @@ _canon: dict = {}  # intern table: the one tuple of each partition a step built
 _exp_memo: dict = {}
 _mul_memo: dict = {}
 _power_memo: dict = {}
-_conj_memo: dict = {}  # interned term -> its interned conjugate, for wide pairs
 _held: list[int] | None = None  # inside _budget_read_once: [] until the first read, then [budget]
 
 
@@ -113,7 +113,6 @@ def clear_caches() -> None:
     _exp_memo.clear()
     _mul_memo.clear()
     _power_memo.clear()
-    _conj_memo.clear()
 
 
 def _check_budget(terms: int, budget: int) -> None:
@@ -294,17 +293,16 @@ def _mul_parts(
     hit = _mul_memo.get(key)
     if hit is not None and hit[1] <= budget:
         return hit
-    if cap is None and sum(a[:1] + b[:1]) > len(a) + len(b):
-        # wide, more columns than rows: s_a s_b is the transpose of s_a' s_b', whose
-        # pair is not wide; the entry holds the transposed terms and that pair's peak
-        terms, peak = _mul_parts(conjugate_parts(a), conjugate_parts(b), None, budget)
-        conj, out = _conj_memo.get, {}
+    width, rows = sum(a[:1] + b[:1]), len(a) + len(b)
+    if width > rows and (cap is None or cap >= rows):
+        # wide: s_a s_b is the transpose of s_a' s_b', a pair that is not wide and whose
+        # terms have at most width rows; the entry holds the transposed terms and that pair's peak
+        conj_cap = None if cap is None else width
+        terms, peak = _mul_parts(conjugate_parts(a), conjugate_parts(b), conj_cap, budget)
+        canon, out = _canon.setdefault, {}
         for t, m in terms.items():
-            c = conj(t)
-            if c is None:
-                c = conjugate_parts(t)
-                c = _conj_memo[t] = _canon.setdefault(c, c)
-            out[c] = m
+            c = conjugate_parts(t)
+            out[canon(c, c)] = m
         hit = _mul_memo[key] = (out, peak)
     else:
         # expand the factor with fewer columns, on a tie the one with more rows, then the first
@@ -317,8 +315,7 @@ def _mul_parts(
 
 def mul(a: Partition, b: Partition, cap: int | None = None, budget: int | None = None) -> LRElement:
     """Product of two basis partitions (signed column expansion)."""
-    if cap is not None:
-        check_cap(cap)
+    cap = check_cap(cap)
     terms, _ = _mul_parts(a.parts, b.parts, cap, term_budget(budget))
     return LRElement._from_raw(terms, cap)
 
@@ -347,9 +344,9 @@ def tensor_power(
     holds within the budget; the cache gets every power in the memo. Each
     step applies the expansion of the partition to the whole previous power.
     """
-    if as_int(n, "exponent") < 0:
+    if (n := as_int(n, "exponent")) < 0:
         raise ValueError("negative exponent")
-    check_cap(cap)
+    cap = check_cap(cap)
     bud = term_budget(budget)
     parts = a.parts
     memo = _power_memo if cache is None else {}
@@ -432,7 +429,7 @@ def lr_coefficient(a: Partition, b: Partition, c: Partition) -> int:
 
 def mul_tableau(a: Partition, b: Partition, cap: int | None = None) -> LRElement:
     """Product of two basis partitions via the skew-filling count (oracle)."""
-    check_cap(cap)
+    cap = check_cap(cap)
     total = a.weight + b.weight
     max_len = len(a) + len(b)
     if cap is not None:

@@ -20,7 +20,7 @@ CHI_SYMMETRY the terms of each A x B.
 from __future__ import annotations
 
 from itertools import accumulate, compress, product
-from operator import ge, ne
+from operator import ge, index, ne
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -433,13 +433,14 @@ def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> Verific
     Bounds other suites declare are ignored; any other name, or any bound
     that is not a non-negative integer, raises ValueError."""
     bounds = bounds or {}
-    eff = {k: bounds.get(k, v) for k, v in default_bounds(lemma_id).items()}
+    defaults = default_bounds(lemma_id)
     unknown = sorted(bounds.keys() - _BOUND_NAMES)
     if unknown:
         raise ValueError(f"no suite takes a bound named {', '.join(unknown)}")
     for name, value in bounds.items():
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+    eff = {k: index(bounds.get(k, v)) for k, v in defaults.items()}
     start = perf_counter()
     cases = 0
     failures = []

@@ -27,7 +27,7 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def run_proc(*argv, env_extra=None):
+def run_proc(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
@@ -36,6 +36,7 @@ def run_proc(*argv, env_extra=None):
         [sys.executable, "-m", "lrlab", *argv],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -364,6 +365,28 @@ class TestCache:
         run_cli(capsys, "power", "[2]", "2", "--cache", str(path))
         assert path.read_text().startswith(MAGIC + "\n")
         assert PowerCache(str(path)).valid_header
+
+    def test_stale_cache_behind_a_symlink_is_rewritten_through_it(self, tmp_path, capsys):
+        (tmp_path / "store").mkdir()
+        target = tmp_path / "store" / "powers.lrpow"
+        target.write_text("LRPOW0\n")
+        link = tmp_path / "powers.lrpow"
+        link.symlink_to(target)
+        assert run_cli(capsys, "power", "[2,1]", "3", "--l", "2", "--cache", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().startswith(MAGIC + "\n")
+        assert len(PowerCache(str(target))) == 4
+        assert sorted(os.listdir(tmp_path / "store")) == ["powers.lrpow"]
+
+    def test_fifo_as_cache_is_usage_error(self, tmp_path):
+        # opening a FIFO for reading blocks until a writer comes: run in a child
+        fifo = tmp_path / "powers.lrpow"
+        os.mkfifo(fifo)
+        for argv in (["cache"], ["power", "[2]", "2", "--cache"]):
+            code, out, err = run_proc(*argv, str(fifo), timeout=10)
+            assert (code, out) == (2, b"")
+            assert err.decode() == f"error: cache {fifo}: not a regular file\n"
+        assert os.listdir(tmp_path) == ["powers.lrpow"]
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "powers.lrpow"

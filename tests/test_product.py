@@ -733,7 +733,7 @@ class TestUnorderedProductMemo:
 
 
 class TestWidePairConjugationMemo:
-    """A wide pair transposes its conjugate pair's terms through _conj_memo."""
+    """A wide pair transposes its conjugate pair's terms and interns them in _canon."""
 
     WIDE = [
         (a, b)
@@ -747,7 +747,7 @@ class TestWidePairConjugationMemo:
         for a, b in self.WIDE:
             clear_caches()
             assert mul(a, b) == mul_tableau(a, b), (a, b)
-            assert product._conj_memo, (a, b)
+            assert all(product._canon[t] is t for t in mul(a, b)._terms), (a, b)
         for _ in range(2):  # the first pass fills the memo for later pairs, the second only reads it
             for a, b in self.WIDE:
                 assert mul(a, b) == mul_tableau(a, b), (a, b)
@@ -755,12 +755,30 @@ class TestWidePairConjugationMemo:
 
     def test_conjugates_are_interned_and_clear_caches_empties_the_memo(self):
         clear_caches()
-        mul(P(3), P(2))
-        assert product._conj_memo == {(2, 2, 1): (3, 2), (2, 1, 1, 1): (4, 1), (1, 1, 1, 1, 1): (5,)}
-        for t in product._conj_memo.values():
+        terms = mul(P(3), P(2))._terms
+        assert terms == {(5,): 1, (4, 1): 1, (3, 2): 1}
+        for t in terms:
             assert product._canon[t] is t
         clear_caches()
-        assert product._conj_memo == {}
+        assert product._canon == {}
+
+    def test_caps_that_cut_nothing_match_tableau_oracle_cold_and_warm(self):
+        # cap len(a) + len(b) is the least that cuts nothing; cap 12 cuts nothing at weight 6
+        calls = [(a, b, cap) for a, b in self.WIDE for cap in (len(a) + len(b), 12)]
+        for a, b, cap in calls:
+            clear_caches()
+            assert mul(a, b, cap=cap) == mul_tableau(a, b, cap=cap), (a, b, cap)
+        for a, b, cap in calls:
+            assert mul(a, b, cap=cap) == mul_tableau(a, b, cap=cap), (a, b, cap)
+        clear_caches()
+
+    def test_a_capped_wide_pair_takes_its_conjugate_route(self):
+        # cap 80 cuts nothing, so the pair multiplies its conjugate pair, one column of
+        # height 40 on another, in 41 terms; expanding h_40 under the cap passes 10,000
+        clear_caches()
+        capped = mul(P(40), P(40), cap=80, budget=10_000)
+        assert capped._terms == mul(P(40), P(40))._terms and len(capped) == 41
+        clear_caches()
 
 
 class TestOneExpansionPerProduct:
@@ -826,6 +844,32 @@ class TestEntryChecks:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == f"{what} is not an integer"
+
+    def test_a_cap_is_kept_as_the_int_operator_index_returns(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert mul(P(2, 1), P(1), cap=True).to_json()["cap"] == 1
+        assert mul(P(2, 1), P(1), cap=Two()) == mul(P(2, 1), P(1), cap=2)
+        assert tensor_power(P(2, 1), 3, cap=Two()) == tensor_power(P(2, 1), 3, cap=2)
+        assert mul_tableau(P(2, 1), P(1), cap=True).cap == 1
+        assert type(LRElement({P(1): 1}, cap=Two()).cap) is int
+        assert type(LRElement({P(1): 1}).truncated(Two()).cap) is int
+
+    def test_a_bool_cap_writes_the_cache_file_of_its_int(self, tmp_path):
+        # True was written as "cap": true, which the next open found stale
+        paths = [str(tmp_path / "true.lrpow"), str(tmp_path / "one.lrpow")]
+        for path, cap in zip(paths, (True, 1)):
+            clear_caches()
+            cache = PowerCache(path)
+            tensor_power(P(2, 1), 3, cap=cap, cache=cache)
+            cache.save()
+        with open(paths[0], "rb") as fh, open(paths[1], "rb") as gh:
+            assert fh.read() == gh.read()
+        reopened = PowerCache(paths[0])
+        assert reopened.valid_header and len(reopened) == 4
+        clear_caches()
 
     def test_negative_multiplicity_is_an_internal_error(self, monkeypatch):
         # an expansion with a negative term makes every product negative; _apply

@@ -114,6 +114,14 @@ def test_zero_bound_is_an_empty_sweep():
     assert rep.status == "PASS" and rep.cases_checked == 0
 
 
+@pytest.mark.parametrize("lemma_id", ["EXCHANGE", "CHI"])
+def test_a_bool_bound_reports_as_its_int(lemma_id):
+    # the report once kept True itself, and its JSON read "max_l": true
+    rep = verify_lemma(lemma_id, {"max_l": True})
+    assert json.dumps(rep.to_json()) == json.dumps(verify_lemma(lemma_id, {"max_l": 1}).to_json())
+    assert type(rep.bounds["max_l"]) is int
+
+
 def test_default_bounds_is_a_copy():
     default_bounds("CHI")["max_l"] = 9
     assert default_bounds("CHI") == {"max_weight": 5, "max_l": 3}
