@@ -16,14 +16,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapMismatch
-from .partitions import EMPTY, Partition, as_int
+from .partitions import EMPTY, Partition, as_count
 
 
 def check_cap(cap: int | None) -> int | None:
     """The cap as an int, or None (no cap); ValueError naming it unless it is an integer >= 0."""
-    if cap is not None and (cap := as_int(cap, "cap")) < 0:
-        raise ValueError(f"negative cap {cap}")
-    return cap
+    return None if cap is None else as_count(cap, "cap")
 
 
 class LRElement:
@@ -40,14 +38,9 @@ class LRElement:
         for p, m in items:
             if not isinstance(p, Partition):
                 p = Partition(p)
-            m = as_int(m, "multiplicity")
-            if m < 0:
-                raise ValueError(f"negative multiplicity {m} for {p}")
-            if m == 0:
-                continue
-            if cap is not None and len(p) > cap:
-                continue
-            acc[p.parts] = acc.get(p.parts, 0) + m
+            m = as_count(m, "multiplicity")
+            if m and (cap is None or len(p) <= cap):
+                acc[p.parts] = acc.get(p.parts, 0) + m
         self._terms = acc
         self._cap = cap
 
@@ -128,8 +121,7 @@ class LRElement:
 
     def truncated(self, l: int) -> "LRElement":
         """Image in the quotient that kills partitions longer than l (at most the cap)."""
-        if (l := as_int(l, "length")) < 0:
-            raise ValueError(f"negative length {l}")
+        l = as_count(l, "length")
         if self._cap is not None and l > self._cap:
             raise CapMismatch(f"cannot raise cap {self._cap} to {l}")
         return LRElement._from_raw({t: m for t, m in self._terms.items() if len(t) <= l}, l)

@@ -33,22 +33,19 @@ class Dominance(Enum):
 class Partition:
     """Weakly decreasing sequence of positive integers, in canonical form.
 
-    Parts must be integers, trailing zeros are stripped on construction and
-    the empty sequence is the unit. Indexing past the end reads 0, which keeps
+    Parts are counts (see as_count), trailing zeros are stripped on construction
+    and the empty sequence is the unit. Indexing past the end reads 0, which keeps
     prefix-sum arithmetic free of explicit padding.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(as_int(p, "part", InvalidPartition) for p in parts)
+        ps = tuple(as_count(p, "part", InvalidPartition) for p in parts)
         for x, y in zip(ps, ps[1:]):
             if x < y:
                 raise NotWeaklyDecreasing(f"{list(ps)} is not weakly decreasing")
-        ps = _strip(ps)
-        if ps and ps[-1] < 0:
-            raise InvalidPartition(f"{list(ps)} has negative parts")
-        self._parts = ps
+        self._parts = _strip(ps)
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
@@ -132,9 +129,7 @@ class Partition:
 
     def scaled(self, n: int) -> "Partition":
         """Entrywise multiple n*A."""
-        if as_int(n, "scale", InvalidPartition) < 0:
-            raise InvalidPartition("negative scale")
-        if n == 0:
+        if (n := as_count(n, "scale", InvalidPartition)) == 0:
             return Partition._trusted(())
         return Partition._trusted(tuple(n * p for p in self._parts))
 
@@ -147,12 +142,14 @@ def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     return cols
 
 
-def as_int(value, what: str, error: type[Exception] = ValueError) -> int:
-    """value as an int if operator.index accepts it, else error naming it."""
+def as_count(value, what: str, error: type[Exception] = ValueError) -> int:
+    """The int operator.index gives for value when it is >= 0, else error naming what."""
     try:
-        return index(value)
+        if (n := index(value)) >= 0:
+            return n
     except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
+        pass
+    raise error(f"{what} must be a non-negative integer, not {value!r}")
 
 
 def _strip(ps: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,9 +163,7 @@ EMPTY = Partition()
 
 def single_column(r: int) -> Partition:
     """The one-column partition of height r (height 0 gives the unit)."""
-    if r < 0:
-        raise InvalidPartition("negative column height")
-    return Partition._trusted((1,) * r)
+    return Partition._trusted((1,) * as_count(r, "column height", InvalidPartition))
 
 
 def column_decomposition(a: Partition) -> list[Partition]:

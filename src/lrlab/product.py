@@ -61,7 +61,7 @@ from operator import lshift
 
 from .elements import LRElement, check_cap
 from .errors import BudgetExceeded, InternalCheckError
-from .partitions import Partition, as_int, conjugate_parts, partitions_of
+from .partitions import Partition, as_count, conjugate_parts, partitions_of
 
 DEFAULT_TERM_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LRLAB_BUDGET"
@@ -80,16 +80,15 @@ def term_budget(explicit: int | None = None) -> int:
     Inside _budget_read_once the environment is read by the first call that
     needs it and its budget serves the rest of the block. A budget that is
     negative or not an integer raises ValueError naming it."""
-    if explicit is None and _held:
+    if explicit is not None:
+        return as_count(explicit, "budget")
+    if _held:
         return _held[0]
-    name, value = "budget", explicit
-    if explicit is None:
-        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR, DEFAULT_TERM_BUDGET)
-        with contextlib.suppress(ValueError):
-            value = int(value)
-    if not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
-    if explicit is None and _held is not None:
+    value = os.environ.get(BUDGET_ENV_VAR, DEFAULT_TERM_BUDGET)
+    with contextlib.suppress(ValueError):
+        value = int(value)
+    value = as_count(value, BUDGET_ENV_VAR)
+    if _held is not None:
         _held.append(value)
     return value
 
@@ -344,8 +343,7 @@ def tensor_power(
     holds within the budget; the cache gets every power in the memo. Each
     step applies the expansion of the partition to the whole previous power.
     """
-    if (n := as_int(n, "exponent")) < 0:
-        raise ValueError("negative exponent")
+    n = as_count(n, "exponent")
     cap = check_cap(cap)
     bud = term_budget(budget)
     parts = a.parts

@@ -9,7 +9,7 @@ from bisect import bisect_right
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange
-from .partitions import Partition, as_int, lcm_upto
+from .partitions import Partition, as_count, lcm_upto
 
 
 class Subdivision:
@@ -18,7 +18,7 @@ class Subdivision:
     __slots__ = ("_sizes", "_starts")
 
     def __init__(self, sizes: Iterable[int]):
-        sz = tuple(as_int(s, "interval size") for s in sizes)
+        sz = tuple(as_count(s, "interval size") for s in sizes)
         if not sz or any(s < 1 for s in sz):
             raise ValueError(f"interval sizes must be positive, got {list(sz)}")
         starts = []

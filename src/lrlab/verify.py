@@ -20,7 +20,7 @@ CHI_SYMMETRY the terms of each A x B.
 from __future__ import annotations
 
 from itertools import accumulate, compress, product
-from operator import ge, index, ne
+from operator import ge, ne
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -29,6 +29,7 @@ from .errors import UnknownLemma
 from .partitions import (
     Dominance,
     Partition,
+    as_count,
     diagram_distance,
     dominance_compare,
     interpolating_sequence,
@@ -437,10 +438,8 @@ def verify_lemma(lemma_id: str, bounds: dict[str, int] | None = None) -> Verific
     unknown = sorted(bounds.keys() - _BOUND_NAMES)
     if unknown:
         raise ValueError(f"no suite takes a bound named {', '.join(unknown)}")
-    for name, value in bounds.items():
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
-    eff = {k: index(bounds.get(k, v)) for k, v in defaults.items()}
+    given = {name: as_count(value, name) for name, value in bounds.items()}
+    eff = {k: given.get(k, v) for k, v in defaults.items()}
     start = perf_counter()
     cases = 0
     failures = []

@@ -19,11 +19,12 @@ def E(d, cap=None):
 class TestConstruction:
     @pytest.mark.parametrize("mult", [2.9, "2", 2.0])
     def test_rejects_a_multiplicity_that_is_not_an_integer(self, mult):
-        with pytest.raises(ValueError, match=f"^multiplicity {mult!r} is not an integer$"):
+        with pytest.raises(ValueError) as exc:
             LRElement({P(1): mult})
+        assert str(exc.value) == f"multiplicity must be a non-negative integer, not {mult!r}"
 
     def test_rejects_a_negative_multiplicity(self):
-        with pytest.raises(ValueError, match=r"^negative multiplicity -1 for \[1\]$"):
+        with pytest.raises(ValueError, match="^multiplicity must be a non-negative integer, not -1$"):
             LRElement({P(1): -1})
 
     def test_tuple_keys_and_a_zero_multiplicity(self):
@@ -92,7 +93,7 @@ class TestTruncate:
 
     @pytest.mark.parametrize("cap", [None, 2])
     def test_negative_length(self, cap):
-        with pytest.raises(ValueError, match="^negative length -1$"):
+        with pytest.raises(ValueError, match="^length must be a non-negative integer, not -1$"):
             E({(1,): 1}, cap=cap).truncated(-1)
 
 

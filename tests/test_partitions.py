@@ -54,20 +54,20 @@ class TestCanonicalForm:
         ids=["float", "str", "none"],
     )
     def test_rejects_a_part_that_is_not_an_integer(self, parts, shown):
-        with pytest.raises(InvalidPartition, match=f"^part {shown} is not an integer$"):
+        with pytest.raises(InvalidPartition) as exc:
             Partition(parts)
+        assert str(exc.value) == f"part must be a non-negative integer, not {shown}"
 
     def test_rejects_a_negative_part(self):
-        with pytest.raises(InvalidPartition, match=r"^\[3, -1\] has negative parts$"):
+        with pytest.raises(InvalidPartition, match="^part must be a non-negative integer, not -1$"):
             Partition([3, -1])
 
     # scaled(1.5) once returned the parts [3.0, 1.5]
-    @pytest.mark.parametrize(
-        "n, message", [(1.5, "scale 1.5 is not an integer"), (-1, "negative scale")]
-    )
-    def test_scale_must_be_a_non_negative_integer(self, n, message):
-        with pytest.raises(InvalidPartition, match=f"^{message}$"):
+    @pytest.mark.parametrize("n", [1.5, -1])
+    def test_scale_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(InvalidPartition) as exc:
             P(2, 1).scaled(n)
+        assert str(exc.value) == f"scale must be a non-negative integer, not {n!r}"
 
     def test_indexing_past_end_reads_zero(self):
         assert P(3, 1)[5] == 0
@@ -162,7 +162,7 @@ class TestDominance:
     def test_single_column_is_minimum(self):
         for p in partitions_up_to(10):
             assert dominates(p, single_column(p.weight))
-        with pytest.raises(InvalidPartition, match="^negative column height$"):
+        with pytest.raises(InvalidPartition, match="^column height must be a non-negative integer, not -1$"):
             single_column(-1)
 
     def test_rectangle_plus_column_is_minimum_at_fixed_length(self):

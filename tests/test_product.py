@@ -35,8 +35,9 @@ from lrlab import (
     verify_lemma,
 )
 from lrlab import product, verify
-from lrlab.errors import BudgetExceeded, InternalCheckError
+from lrlab.errors import BudgetExceeded, InternalCheckError, InvalidPartition, LRLabError
 from lrlab.powercache import PowerCache
+from lrlab.subdivisions import Subdivision
 
 
 def P(*parts):
@@ -822,40 +823,97 @@ NEGATIVE_CAP_CALLS = {
 # a fractional exponent once stepped the power walk past 0 for ever; a fractional cap or
 # truncation length was accepted
 NON_INTEGER_CALLS = {
-    "exponent_2.5": (lambda: tensor_power(P(2), 2.5), "exponent 2.5"),
-    "exponent_2.0": (lambda: tensor_power(P(2), 2.0), "exponent 2.0"),
-    "property_holds_2.5": (lambda: property_holds(P(2), 2.5, 2), "exponent 2.5"),
-    "mul_cap_1.5": (lambda: mul(P(2, 1), P(1), cap=1.5), "cap 1.5"),
-    "mul_tableau_cap_1.5": (lambda: mul_tableau(P(2, 1), P(1), cap=1.5), "cap 1.5"),
-    "tensor_power_cap_1.5": (lambda: tensor_power(P(2), 2, cap=1.5), "cap 1.5"),
-    "LRElement_cap_1.5": (lambda: LRElement({P(1): 1}, cap=1.5), "cap 1.5"),
-    "truncated_1.5": (lambda: LRElement({P(1): 1}).truncated(1.5), "length 1.5"),
+    "exponent_2.5": (lambda: tensor_power(P(2), 2.5), "exponent", 2.5),
+    "exponent_2.0": (lambda: tensor_power(P(2), 2.0), "exponent", 2.0),
+    "property_holds_2.5": (lambda: property_holds(P(2), 2.5, 2), "exponent", 2.5),
+    "mul_cap_1.5": (lambda: mul(P(2, 1), P(1), cap=1.5), "cap", 1.5),
+    "mul_tableau_cap_1.5": (lambda: mul_tableau(P(2, 1), P(1), cap=1.5), "cap", 1.5),
+    "tensor_power_cap_1.5": (lambda: tensor_power(P(2), 2, cap=1.5), "cap", 1.5),
+    "LRElement_cap_1.5": (lambda: LRElement({P(1): 1}, cap=1.5), "cap", 1.5),
+    "truncated_1.5": (lambda: LRElement({P(1): 1}).truncated(1.5), "length", 1.5),
 }
+
+
+class Index:
+    """Not an int, but operator.index reads it as one."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _sweep(report):
+    return report.bounds, report.cases_checked, report.failures
+
+
+# every count the library takes: a call on the count, a count it accepts, the name its
+# message gives, and the error a bad count raises
+COUNTS = {
+    "part": (lambda n: Partition([n]), 2, "part", InvalidPartition),
+    "scale": (lambda n: P(2, 1).scaled(n), 2, "scale", InvalidPartition),
+    "column_height": (single_column, 2, "column height", InvalidPartition),
+    "interval_size": (lambda n: Subdivision([n, 1]), 2, "interval size", ValueError),
+    "multiplicity": (lambda n: LRElement({P(1): n}), 2, "multiplicity", ValueError),
+    "truncated": (lambda n: mul(P(2, 1), P(1)).truncated(n), 2, "length", ValueError),
+    "cap_mul": (lambda n: mul(P(2, 1), P(1), cap=n), 2, "cap", ValueError),
+    "cap_mul_tableau": (lambda n: mul_tableau(P(2, 1), P(1), cap=n), 2, "cap", ValueError),
+    "cap_tensor_power": (lambda n: tensor_power(P(2, 1), 3, cap=n), 2, "cap", ValueError),
+    "cap_LRElement": (lambda n: LRElement({P(1): 1}, cap=n), 2, "cap", ValueError),
+    "budget_mul": (lambda n: mul(P(2, 1), P(1), budget=n), 9, "budget", ValueError),
+    "budget_mul_element": (
+        lambda n: mul_element(LRElement({P(2, 1): 1}), P(1), budget=n), 9, "budget", ValueError
+    ),
+    "budget_tensor_power": (lambda n: tensor_power(P(2, 1), 2, budget=n), 9, "budget", ValueError),
+    "exponent": (lambda n: tensor_power(P(2, 1), n), 2, "exponent", ValueError),
+    "exponent_property_holds": (lambda n: property_holds(P(2), n, 2), 2, "exponent", ValueError),
+    "bound": (lambda n: _sweep(verify_lemma("CHI", {"max_l": n})), 2, "max_l", ValueError),
+}
+
+
+def _on_count(call, n):
+    """What a call returns on the count n, or the type and text of the error it raises."""
+    try:
+        return call(n)
+    except LRLabError as exc:
+        return type(exc), str(exc)
 
 
 class TestEntryChecks:
     @pytest.mark.parametrize("call", NEGATIVE_CAP_CALLS.values(), ids=NEGATIVE_CAP_CALLS)
     def test_negative_cap_is_refused(self, call):
-        with pytest.raises(ValueError, match="^negative cap -1$"):
+        with pytest.raises(ValueError, match="^cap must be a non-negative integer, not -1$"):
             call()
 
-    @pytest.mark.parametrize("call, what", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
-    def test_non_integer_exponent_or_cap_is_refused(self, call, what):
+    @pytest.mark.parametrize("call, what, value", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+    def test_non_integer_exponent_or_cap_is_refused(self, call, what, value):
         with pytest.raises(ValueError) as exc:
             call()
-        assert str(exc.value) == f"{what} is not an integer"
+        assert str(exc.value) == f"{what} must be a non-negative integer, not {value!r}"
+
+    # scaled(Index(2)) raised TypeError, and budget=Index(9) and max_l=Index(2) were
+    # refused; budget=True raised "3 terms exceed budget True"
+    @pytest.mark.parametrize("call, n, what, error", COUNTS.values(), ids=COUNTS)
+    def test_an_index_object_or_a_bool_counts_as_its_int(self, call, n, what, error):
+        assert _on_count(call, Index(n)) == _on_count(call, n)
+        assert _on_count(call, True) == _on_count(call, 1)
+
+    @pytest.mark.parametrize("value", [-1, 2.5, "2"], ids=["negative", "float", "str"])
+    @pytest.mark.parametrize("call, n, what, error", COUNTS.values(), ids=COUNTS)
+    def test_a_bad_count_is_refused_with_the_one_message(self, call, n, what, error, value):
+        with pytest.raises(error) as exc:
+            call(value)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{what} must be a non-negative integer, not {value!r}"
 
     def test_a_cap_is_kept_as_the_int_operator_index_returns(self):
-        class Two:
-            def __index__(self):
-                return 2
-
         assert mul(P(2, 1), P(1), cap=True).to_json()["cap"] == 1
-        assert mul(P(2, 1), P(1), cap=Two()) == mul(P(2, 1), P(1), cap=2)
-        assert tensor_power(P(2, 1), 3, cap=Two()) == tensor_power(P(2, 1), 3, cap=2)
+        assert mul(P(2, 1), P(1), cap=Index(2)) == mul(P(2, 1), P(1), cap=2)
+        assert tensor_power(P(2, 1), 3, cap=Index(2)) == tensor_power(P(2, 1), 3, cap=2)
         assert mul_tableau(P(2, 1), P(1), cap=True).cap == 1
-        assert type(LRElement({P(1): 1}, cap=Two()).cap) is int
-        assert type(LRElement({P(1): 1}).truncated(Two()).cap) is int
+        assert type(LRElement({P(1): 1}, cap=Index(2)).cap) is int
+        assert type(LRElement({P(1): 1}).truncated(Index(2)).cap) is int
 
     def test_a_bool_cap_writes_the_cache_file_of_its_int(self, tmp_path):
         # True was written as "cap": true, which the next open found stale

@@ -59,7 +59,7 @@ class TestSubdivision:
         assert repr(Subdivision([1, 2])) == "Subdivision([1, 2])"
 
     def test_rejects_a_size_that_is_not_an_integer(self):
-        with pytest.raises(ValueError, match=r"^interval size 1\.5 is not an integer$"):
+        with pytest.raises(ValueError, match=r"^interval size must be a non-negative integer, not 1\.5$"):
             Subdivision([1.5, 1])
 
     @pytest.mark.parametrize("sizes", [[], [2, 0]])
