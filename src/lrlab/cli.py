@@ -68,17 +68,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(int(p) for p in inner.split(",")) if inner else Partition()
 
 
-def _non_negative(text: str) -> int:
-    """argparse type of lengths, ranks and suite bounds."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
 def _option(bound: str) -> str:
     return "--" + bound.replace("_", "-")
 
@@ -258,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mul", parents=[common], help="product of two partitions")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--l", type=_non_negative, default=None, help="length cap (quotient ring)")
+    p.add_argument("--l", type=int, default=None, help="length cap (quotient ring)")
     p.set_defaults(func=_cmd_mul)
 
     p = sub.add_parser("power", parents=[common], help="tensor power of a partition")
     p.add_argument("a")
     p.add_argument("n", type=int)
-    p.add_argument("--l", type=_non_negative, default=None, help="length cap (quotient ring)")
+    p.add_argument("--l", type=int, default=None, help="length cap (quotient ring)")
     p.add_argument("--cache", default=None, help="path of an on-disk power cache")
     p.set_defaults(func=_cmd_power)
 
@@ -280,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gj", parents=[common], help="block-constant cone generators")
     p.add_argument("a")
-    p.add_argument("--l", type=_non_negative, required=True)
+    p.add_argument("--l", type=int, required=True)
     p.add_argument("--mask", type=int, default=None, help="breakpoint bitmask of one subdivision")
     p.set_defaults(func=_cmd_gj)
 
     p = sub.add_parser("hj", parents=[common], help="cone generator with one cell moved")
     p.add_argument("a")
-    p.add_argument("--l", type=_non_negative, required=True)
+    p.add_argument("--l", type=int, required=True)
     p.add_argument("--mask", type=int, required=True, help="breakpoint bitmask of the subdivision")
     p.add_argument("--beta", type=int, default=None, help="column whose height picks the source block")
     p.add_argument("--delta", type=int, default=None, help="column whose height picks the target block")
@@ -298,26 +287,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", choices=list(LEMMA_IDS), default=None)
     p.add_argument("--all", action="store_true", help="run every suite")
     for name in _BOUND_NAMES:
-        p.add_argument(_option(name), dest=name, type=_non_negative, default=None)
+        p.add_argument(_option(name), dest=name, type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("nsearch", parents=[common], help="uniform exponent threshold over a window")
     p.add_argument("a")
-    p.add_argument("--l", type=_non_negative, required=True)
+    p.add_argument("--l", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.set_defaults(func=_cmd_nsearch)
 
     p = sub.add_parser("cone", parents=[common], help="cone membership and generator decomposition")
     p.add_argument("b", help="candidate member")
     p.add_argument("a", help="partition whose multiples bound the cone")
-    p.add_argument("--l", type=_non_negative, required=True)
+    p.add_argument("--l", type=int, required=True)
     p.add_argument("--member-only", action="store_true", help="skip the decomposition search")
     p.set_defaults(func=_cmd_cone)
 
     p = sub.add_parser("transfer", parents=[common], help="support containment witness between powers")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--d", type=_non_negative, required=True, help="length cap (rank)")
+    p.add_argument("--d", type=int, required=True, help="length cap (rank)")
     p.add_argument("--tmax", type=int, default=8)
     p.set_defaults(func=_cmd_transfer)
 

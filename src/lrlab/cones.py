@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .errors import InvalidPartition, NoDecomposition, UnsupportedLength
-from .partitions import Partition, diagram_distance, dominates, lcm_upto
+from .errors import NoDecomposition, UnsupportedLength
+from .partitions import Partition, as_count, diagram_distance, dominates, lcm_upto
 from .reports import ConeCertificate
 from .subdivisions import Subdivision, all_subdivisions, cone_generator
 
@@ -23,8 +23,8 @@ def cone_membership(b: Partition, a: Partition, l: int) -> ConeCertificate:
 
     Membership needs |a| to divide |b| and b to be dominated by (|b|/|a|)*a.
     """
-    if len(a) > l or len(b) > l:
-        raise InvalidPartition(f"lengths of {a}, {b} must be at most {l}")
+    l = as_count(l, "l")
+    a.padded(l), b.padded(l)  # raises InvalidPartition for the first one longer than l
     wa, wb = a.weight, b.weight
     if wa == 0:
         if wb == 0:
@@ -76,6 +76,7 @@ def cone_generator_decomposition(b: Partition, a: Partition, l: int) -> ConeCert
     NoDecomposition would falsify the cone-generation claim at this instance
     and is raised with the full instance spelled out.
     """
+    l = as_count(l, "l", positive=True)
     cert = cone_membership(b, a, l)
     if not cert.member:
         raise ValueError(f"{b} is not in the cone of {a} at length {l}: {cert.reason}")
@@ -161,10 +162,9 @@ def theorem_bound(a: Partition, l: int) -> int:
     multiple of |a| cannot occur as fractional parts of integral cone
     members and are skipped. Clamped to at least 1.
     """
-    if l > 3:
+    if (l := as_count(l, "l", positive=True)) > 3:
         raise UnsupportedLength(f"bound computation is desk-scale only (l <= 3), got {l}")
-    if len(a) > l:
-        raise InvalidPartition(f"{a} does not fit length {l}")
+    a.padded(l)  # raises InvalidPartition when a is longer than l
     big_l = lcm_upto(l)
     subs = list(all_subdivisions(l))
     if a.weight == 0:

@@ -142,14 +142,16 @@ def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     return cols
 
 
-def as_count(value, what: str, error: type[Exception] = ValueError) -> int:
-    """The int operator.index gives for value when it is >= 0, else error naming what."""
+def as_count(value, what: str, error: type[Exception] = ValueError, *, positive: bool = False) -> int:
+    """The int operator.index gives for value when it is >= 0 (>= 1 when positive),
+    else error naming what."""
     try:
-        if (n := index(value)) >= 0:
+        if (n := index(value)) >= positive:
             return n
     except TypeError:
         pass
-    raise error(f"{what} must be a non-negative integer, not {value!r}")
+    sign = "positive" if positive else "non-negative"
+    raise error(f"{what} must be a {sign} integer, not {value!r}")
 
 
 def _strip(ps: tuple[int, ...]) -> tuple[int, ...]:
@@ -173,9 +175,7 @@ def column_decomposition(a: Partition) -> list[Partition]:
 
 def lcm_upto(l: int) -> int:
     """Least common multiple of 1..l."""
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    return lcm(*range(1, l + 1))
+    return lcm(*range(1, as_count(l, "l", positive=True) + 1))
 
 
 def dominance_compare(a: Partition, b: Partition) -> Dominance:

@@ -450,9 +450,7 @@ def gl_dimension(p: Partition, d: int) -> int:
     O(d^2) whatever the weight (Fulton-Harris, Lecture 6); zero when p has
     more rows than d.
     """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    if len(p) > d:
+    if len(p) > (d := as_count(d, "dimension", positive=True)):
         return 0
     parts = p.parts + (0,) * (d - len(p))
     num = den = 1

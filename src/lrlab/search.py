@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import HypothesisFails, InvalidPartition, NotFoundWithin
-from .partitions import Dominance, Partition, dominance_compare, dominated_partitions
+from .errors import HypothesisFails, NotFoundWithin
+from .partitions import Dominance, Partition, as_count, dominance_compare, dominated_partitions
 from .product import tensor_power
 from .reports import ExponentSearch, TransferWitness
 
@@ -21,8 +21,8 @@ def property_holds(a: Partition, n: int, l: int) -> tuple[bool, Partition | None
     Returns (True, None) or (False, first counterexample) with candidates
     enumerated in descending lexicographic order.
     """
-    if len(a) > l:
-        raise InvalidPartition(f"{a} does not fit length {l}")
+    l = as_count(l, "l")
+    a.padded(l)  # raises InvalidPartition when a is longer than l
     power = tensor_power(a, n, cap=l)
     for b in dominated_partitions(a.scaled(n), l):
         if power[b] == 0:
@@ -37,8 +37,8 @@ def minimal_uniform_exponent(a: Partition, l: int, n_max: int) -> ExponentSearch
     is swept and every failing n is reported with its first counterexample;
     threshold None means the property still fails at n_max itself.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    l = as_count(l, "l")
+    n_max = as_count(n_max, "n_max", positive=True)
     failures: list[tuple[int, Partition]] = []
     for n in range(1, n_max + 1):
         ok, bad = property_holds(a, n, l)
@@ -59,8 +59,8 @@ def transfer_witness(a: Partition, b: Partition, d: int, t_max: int = 8) -> Tran
     M = |a|/gcd, N = |b|/gcd, so both sides have equal weight t*|a||b|/gcd.
     Requires |b|*a to dominate |a|*b (both scaled to weight |a||b|).
     """
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    d = as_count(d, "d")
+    t_max = as_count(t_max, "t_max", positive=True)
     if len(a) > d or len(b) > d:
         raise HypothesisFails(f"lengths of {a}, {b} must be at most {d}")
     wa, wb = a.weight, b.weight

@@ -18,9 +18,9 @@ class Subdivision:
     __slots__ = ("_sizes", "_starts")
 
     def __init__(self, sizes: Iterable[int]):
-        sz = tuple(as_count(s, "interval size") for s in sizes)
-        if not sz or any(s < 1 for s in sz):
-            raise ValueError(f"interval sizes must be positive, got {list(sz)}")
+        sz = tuple(as_count(s, "interval size", positive=True) for s in sizes)
+        if not sz:
+            raise ValueError("interval sizes must be positive, got []")
         starts = []
         pos = 1
         for s in sz:
@@ -32,8 +32,7 @@ class Subdivision:
     @classmethod
     def from_mask(cls, l: int, mask: int) -> "Subdivision":
         """Breakpoint bitmask: bit p-1 set puts a break after position p."""
-        if l < 1:
-            raise ValueError("l must be at least 1")
+        l = as_count(l, "l", positive=True)
         if not 0 <= mask < (1 << (l - 1)):
             raise ValueError(f"mask {mask} out of range for l={l}")
         sizes = []
@@ -99,10 +98,8 @@ class Subdivision:
 
 def all_subdivisions(l: int) -> Iterator[Subdivision]:
     """The 2^(l-1) subdivisions of {1..l}, by breakpoint bitmask ascending."""
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    for mask in range(1 << (l - 1)):
-        yield Subdivision.from_mask(l, mask)
+    l = as_count(l, "l", positive=True)
+    return (Subdivision.from_mask(l, mask) for mask in range(1 << (l - 1)))
 
 
 def restrict(a: Partition, interval: Iterable[int], l: int) -> Partition:

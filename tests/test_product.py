@@ -7,6 +7,7 @@ the hook length formula, and the two product algorithms (signed column expansion
 agree term by term.
 """
 
+import json
 import sys
 import tracemalloc
 from math import factorial
@@ -18,11 +19,16 @@ from hypothesis import strategies as st
 from lrlab import (
     LRElement,
     Partition,
+    all_subdivisions,
     clear_caches,
+    cone_generator_decomposition,
+    cone_membership,
     dominance_compare,
     Dominance,
     gl_dimension,
+    lcm_upto,
     lr_coefficient,
+    minimal_uniform_exponent,
     mul,
     mul_element,
     mul_tableau,
@@ -32,6 +38,8 @@ from lrlab import (
     single_column,
     tensor_power,
     term_budget,
+    theorem_bound,
+    transfer_witness,
     verify_lemma,
 )
 from lrlab import product, verify
@@ -848,28 +856,62 @@ def _sweep(report):
     return report.bounds, report.cases_checked, report.failures
 
 
-# every count the library takes: a call on the count, a count it accepts, the name its
-# message gives, and the error a bad count raises
+def _json(record):
+    # through the JSON text, so a bool kept in a record (true) differs from its int (1)
+    return json.dumps(record.to_json())
+
+
+# every count and limit the library takes: a call on it, a value it accepts, the name its
+# message gives, the error a bad value raises, and whether it must be at least 1
 COUNTS = {
-    "part": (lambda n: Partition([n]), 2, "part", InvalidPartition),
-    "scale": (lambda n: P(2, 1).scaled(n), 2, "scale", InvalidPartition),
-    "column_height": (single_column, 2, "column height", InvalidPartition),
-    "interval_size": (lambda n: Subdivision([n, 1]), 2, "interval size", ValueError),
-    "multiplicity": (lambda n: LRElement({P(1): n}), 2, "multiplicity", ValueError),
-    "truncated": (lambda n: mul(P(2, 1), P(1)).truncated(n), 2, "length", ValueError),
-    "cap_mul": (lambda n: mul(P(2, 1), P(1), cap=n), 2, "cap", ValueError),
-    "cap_mul_tableau": (lambda n: mul_tableau(P(2, 1), P(1), cap=n), 2, "cap", ValueError),
-    "cap_tensor_power": (lambda n: tensor_power(P(2, 1), 3, cap=n), 2, "cap", ValueError),
-    "cap_LRElement": (lambda n: LRElement({P(1): 1}, cap=n), 2, "cap", ValueError),
-    "budget_mul": (lambda n: mul(P(2, 1), P(1), budget=n), 9, "budget", ValueError),
+    "part": (lambda n: Partition([n]), 2, "part", InvalidPartition, False),
+    "scale": (lambda n: P(2, 1).scaled(n), 2, "scale", InvalidPartition, False),
+    "column_height": (single_column, 2, "column height", InvalidPartition, False),
+    "interval_size": (lambda n: Subdivision([n, 1]), 2, "interval size", ValueError, True),
+    "multiplicity": (lambda n: LRElement({P(1): n}), 2, "multiplicity", ValueError, False),
+    "truncated": (lambda n: mul(P(2, 1), P(1)).truncated(n), 2, "length", ValueError, False),
+    "cap_mul": (lambda n: mul(P(2, 1), P(1), cap=n), 2, "cap", ValueError, False),
+    "cap_mul_tableau": (lambda n: mul_tableau(P(2, 1), P(1), cap=n), 2, "cap", ValueError, False),
+    "cap_tensor_power": (lambda n: tensor_power(P(2, 1), 3, cap=n), 2, "cap", ValueError, False),
+    "cap_LRElement": (lambda n: LRElement({P(1): 1}, cap=n), 2, "cap", ValueError, False),
+    "budget_mul": (lambda n: mul(P(2, 1), P(1), budget=n), 9, "budget", ValueError, False),
     "budget_mul_element": (
-        lambda n: mul_element(LRElement({P(2, 1): 1}), P(1), budget=n), 9, "budget", ValueError
+        lambda n: mul_element(LRElement({P(2, 1): 1}), P(1), budget=n), 9, "budget", ValueError, False
     ),
-    "budget_tensor_power": (lambda n: tensor_power(P(2, 1), 2, budget=n), 9, "budget", ValueError),
-    "exponent": (lambda n: tensor_power(P(2, 1), n), 2, "exponent", ValueError),
-    "exponent_property_holds": (lambda n: property_holds(P(2), n, 2), 2, "exponent", ValueError),
-    "bound": (lambda n: _sweep(verify_lemma("CHI", {"max_l": n})), 2, "max_l", ValueError),
+    "budget_tensor_power": (
+        lambda n: tensor_power(P(2, 1), 2, budget=n), 9, "budget", ValueError, False
+    ),
+    "exponent": (lambda n: tensor_power(P(2, 1), n), 2, "exponent", ValueError, False),
+    "exponent_property_holds": (
+        lambda n: property_holds(P(2), n, 2), 2, "exponent", ValueError, False
+    ),
+    "bound": (lambda n: _sweep(verify_lemma("CHI", {"max_l": n})), 2, "max_l", ValueError, False),
+    "lcm_upto": (lcm_upto, 4, "l", ValueError, True),
+    "all_subdivisions": (lambda n: list(all_subdivisions(n)), 2, "l", ValueError, True),
+    "from_mask": (lambda n: Subdivision.from_mask(n, 0), 2, "l", ValueError, True),
+    "gl_dimension": (lambda n: gl_dimension(P(1), n), 2, "dimension", ValueError, True),
+    "l_property_holds": (lambda n: property_holds(P(2), 2, n), 2, "l", ValueError, False),
+    "l_minimal_uniform_exponent": (
+        lambda n: _json(minimal_uniform_exponent(P(1), n, 2)), 2, "l", ValueError, False
+    ),
+    "n_max": (lambda n: _json(minimal_uniform_exponent(P(1), 2, n)), 2, "n_max", ValueError, True),
+    "d_transfer_witness": (lambda n: _json(transfer_witness(P(1), P(1), n)), 2, "d", ValueError, False),
+    "t_max": (
+        lambda n: _json(transfer_witness(P(2), P(1, 1), 2, t_max=n)), 2, "t_max", ValueError, True
+    ),
+    "l_cone_membership": (
+        lambda n: _json(cone_membership(P(2), P(1), n)), 2, "l", ValueError, False
+    ),
+    "l_cone_generator_decomposition": (
+        lambda n: _json(cone_generator_decomposition(P(2), P(1), n)), 2, "l", ValueError, True
+    ),
+    "l_theorem_bound": (lambda n: theorem_bound(P(1), n), 2, "l", ValueError, True),
 }
+POSITIVE = {name: row for name, row in COUNTS.items() if row[-1]}
+
+
+def _refusal(what, positive, value):
+    return f"{what} must be a {'positive' if positive else 'non-negative'} integer, not {value!r}"
 
 
 def _on_count(call, n):
@@ -893,19 +935,29 @@ class TestEntryChecks:
         assert str(exc.value) == f"{what} must be a non-negative integer, not {value!r}"
 
     # scaled(Index(2)) raised TypeError, and budget=Index(9) and max_l=Index(2) were
-    # refused; budget=True raised "3 terms exceed budget True"
-    @pytest.mark.parametrize("call, n, what, error", COUNTS.values(), ids=COUNTS)
-    def test_an_index_object_or_a_bool_counts_as_its_int(self, call, n, what, error):
+    # refused; budget=True raised "3 terms exceed budget True"; a limit such as
+    # gl_dimension's raised TypeError on Index(2), and n_max=True was kept as true
+    @pytest.mark.parametrize("call, n, what, error, positive", COUNTS.values(), ids=COUNTS)
+    def test_an_index_object_or_a_bool_counts_as_its_int(self, call, n, what, error, positive):
         assert _on_count(call, Index(n)) == _on_count(call, n)
         assert _on_count(call, True) == _on_count(call, 1)
 
+    # l=2.5 gave cone_membership a member certificate; l=-1 reached property_holds as
+    # InvalidPartition naming length -1
     @pytest.mark.parametrize("value", [-1, 2.5, "2"], ids=["negative", "float", "str"])
-    @pytest.mark.parametrize("call, n, what, error", COUNTS.values(), ids=COUNTS)
-    def test_a_bad_count_is_refused_with_the_one_message(self, call, n, what, error, value):
+    @pytest.mark.parametrize("call, n, what, error, positive", COUNTS.values(), ids=COUNTS)
+    def test_a_bad_count_is_refused_with_the_one_message(self, call, n, what, error, positive, value):
         with pytest.raises(error) as exc:
             call(value)
         assert type(exc.value) is error
-        assert str(exc.value) == f"{what} must be a non-negative integer, not {value!r}"
+        assert str(exc.value) == _refusal(what, positive, value)
+
+    @pytest.mark.parametrize("call, n, what, error, positive", POSITIVE.values(), ids=POSITIVE)
+    def test_zero_is_refused_where_a_limit_must_be_positive(self, call, n, what, error, positive):
+        with pytest.raises(error) as exc:
+            call(0)
+        assert type(exc.value) is error
+        assert str(exc.value) == _refusal(what, True, 0)
 
     def test_a_cap_is_kept_as_the_int_operator_index_returns(self):
         assert mul(P(2, 1), P(1), cap=True).to_json()["cap"] == 1

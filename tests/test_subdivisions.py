@@ -59,14 +59,17 @@ class TestSubdivision:
         assert repr(Subdivision([1, 2])) == "Subdivision([1, 2])"
 
     def test_rejects_a_size_that_is_not_an_integer(self):
-        with pytest.raises(ValueError, match=r"^interval size must be a non-negative integer, not 1\.5$"):
+        with pytest.raises(ValueError, match=r"^interval size must be a positive integer, not 1\.5$"):
             Subdivision([1.5, 1])
 
     @pytest.mark.parametrize("sizes", [[], [2, 0]])
     def test_rejects_no_intervals_and_an_empty_one(self, sizes):
         with pytest.raises(ValueError) as exc:
             Subdivision(sizes)
-        assert str(exc.value) == f"interval sizes must be positive, got {sizes}"
+        if sizes:
+            assert str(exc.value) == "interval size must be a positive integer, not 0"
+        else:
+            assert str(exc.value) == "interval sizes must be positive, got []"
 
 
 class TestRestrict:
